@@ -4,7 +4,7 @@
 #include "qrel/logic/classify.h"
 #include "qrel/logic/eval.h"
 #include "qrel/util/check.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -24,46 +24,20 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityByWitness(
   if (!compiled.ok()) {
     return compiled.status();
   }
-  const std::vector<int>& uncertain = db.UncertainEntries();
-  if (uncertain.size() > 62) {
+  if (db.UncertainEntries().size() > 62) {
     return Status::OutOfRange(
         "witness search over more than 2^62 worlds");
   }
 
-  int n = db.universe_size();
-  int k = compiled->arity();
-
-  // ψ^𝔄 once.
-  std::vector<Tuple> tuples;
-  std::vector<uint8_t> observed_truth;
-  {
-    Tuple assignment(static_cast<size_t>(k), 0);
-    do {
-      tuples.push_back(assignment);
-      observed_truth.push_back(
-          compiled->Eval(db.observed(), assignment) ? 1 : 0);
-    } while (AdvanceTuple(&assignment, n));
-  }
-
+  ObservedAnswers observed(*compiled, db);
   AbsoluteReliabilityResult result;
-  World world(db.model().entry_count());
-  for (int id : db.model().CertainFlipEntries()) {
-    world.SetFlipped(id, true);
-  }
-
-  uint64_t world_count = uint64_t{1} << uncertain.size();
-  for (uint64_t code = 0; code < world_count; ++code) {
-    for (size_t i = 0; i < uncertain.size(); ++i) {
-      world.SetFlipped(uncertain[i], (code >> i) & 1u);
-    }
+  WorldEnumerator worlds(db);
+  for (uint64_t code = 0; code < worlds.world_count(); ++code) {
     ++result.worlds_checked;
-    WorldView view(db, world);
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
-        result.absolutely_reliable = false;
-        result.witness = world;
-        return result;
-      }
+    if (observed.CountDifferences(WorldView(db, worlds.Seek(code))) > 0) {
+      result.absolutely_reliable = false;
+      result.witness = worlds.world();
+      return result;
     }
   }
   result.absolutely_reliable = true;
@@ -83,17 +57,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
   }
   int n = db.universe_size();
   int k = compiled->arity();
-
-  std::vector<Tuple> tuples;
-  std::vector<uint8_t> observed_truth;
-  {
-    Tuple assignment(static_cast<size_t>(k), 0);
-    do {
-      tuples.push_back(assignment);
-      observed_truth.push_back(
-          compiled->Eval(db.observed(), assignment) ? 1 : 0);
-    } while (AdvanceTuple(&assignment, n));
-  }
+  ObservedAnswers observed(*compiled, db);
 
   Fingerprint fingerprint;
   fingerprint.Mix("core.absolute_mc")
@@ -104,42 +68,36 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
       .Mix(static_cast<uint64_t>(db.model().entry_count()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "core.absolute_mc.v1", fingerprint.value());
+  GovernedLoop loop(ctx, {.kind = "core.absolute_mc.v1",
+                          .fingerprint = fingerprint.value(),
+                          .end = samples});
 
   Rng rng(seed);
   AbsoluteReliabilityResult result;
-  uint64_t start = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&start));
-      QREL_RETURN_IF_ERROR(resume->U64(&result.worlds_checked));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-  for (uint64_t s = start; s < samples; ++s) {
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(s);
-      w.U64(result.worlds_checked);
-      w.RngState(rng);
-    }));
-    QREL_RETURN_IF_ERROR(ChargeWork(ctx));
-    World world = db.SampleWorld(&rng);
-    ++result.worlds_checked;
-    WorldView view(db, world);
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
-        result.absolutely_reliable = false;
-        result.witness = std::move(world);
-        return result;
-      }
-    }
-  }
-  // No counterexample sampled; inconclusive but reported as "reliable so
-  // far" (see the header comment and Lemma 5.10).
-  result.absolutely_reliable = true;
+  // Payload: the next sample's index, worlds checked so far, the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* next) {
+    QREL_RETURN_IF_ERROR(r.U64(next));
+    QREL_RETURN_IF_ERROR(r.U64(&result.worlds_checked));
+    return r.RngState(&rng);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t s) {
+        w.U64(s);
+        w.U64(result.worlds_checked);
+        w.RngState(rng);
+      },
+      [&](uint64_t) {
+        World world = db.SampleWorld(&rng);
+        ++result.worlds_checked;
+        if (observed.CountDifferences(WorldView(db, world)) > 0) {
+          result.witness = std::move(world);
+          loop.Stop();
+        }
+        return Status::Ok();
+      }));
+  // Without a sampled counterexample the answer is inconclusive but
+  // reported as "reliable so far" (see the header comment and Lemma 5.10).
+  result.absolutely_reliable = !result.witness.has_value();
   return result;
 }
 

@@ -11,20 +11,11 @@
 #include "qrel/propositional/dnf.h"
 #include "qrel/propositional/karp_luby.h"
 #include "qrel/util/check.h"
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
 namespace {
-
-Status ValidateCommonOptions(const ApproxOptions& options) {
-  if (options.epsilon <= 0.0 || options.epsilon >= 1.0 ||
-      options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
-  }
-  return Status::Ok();
-}
 
 // Number of tuples n^k, with an overflow/feasibility guard.
 StatusOr<uint64_t> TupleCount(int n, int k) {
@@ -37,6 +28,25 @@ StatusOr<uint64_t> TupleCount(int n, int k) {
     }
   }
   return count;
+}
+
+// Reads a resumed assignment tuple and its rank in AdvanceTuple order
+// (last position fastest), i.e. the tuple loop's index. A tuple of the
+// wrong arity or with an element outside the universe is a forged payload.
+Status ReadTuple(SnapshotReader& reader, int n, int k, Tuple* tuple,
+                 uint64_t* rank) {
+  QREL_RETURN_IF_ERROR(reader.TupleVal(tuple));
+  if (tuple->size() != static_cast<size_t>(k)) {
+    return Status::DataLoss("snapshot tuple arity mismatch");
+  }
+  *rank = 0;
+  for (Element element : *tuple) {
+    if (element < 0 || element >= n) {
+      return Status::DataLoss("snapshot tuple element out of range");
+    }
+    *rank = *rank * static_cast<uint64_t>(n) + static_cast<uint64_t>(element);
+  }
+  return Status::Ok();
 }
 
 // One FPTRAS estimate of ν(ψ(ā)) from an already-computed prenex form.
@@ -109,6 +119,20 @@ StatusOr<ApproxResult> FptrasFromPrenex(const PrenexExistential& prenex,
 
 }  // namespace
 
+Status ValidateApproxOptions(const ApproxOptions& options) {
+  if (options.epsilon <= 0.0 || options.epsilon >= 1.0 ||
+      options.delta <= 0.0 || options.delta >= 1.0) {
+    return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
+  }
+  if (options.xi <= 0.0 || options.xi >= 0.5) {
+    return Status::InvalidArgument("xi must lie in (0, 1/2)");
+  }
+  if (options.fixed_samples.has_value() && *options.fixed_samples == 0) {
+    return Status::InvalidArgument("fixed_samples must be positive");
+  }
+  return Status::Ok();
+}
+
 uint64_t PaddedSampleBound(double xi, double epsilon, double delta) {
   double t = 9.0 / (2.0 * xi * epsilon * epsilon) * std::log(1.0 / delta);
   QREL_CHECK(std::isfinite(t));
@@ -126,7 +150,7 @@ double PaddedAchievedEpsilon(double xi, uint64_t samples, double delta) {
 StatusOr<ApproxResult> ExistentialProbabilityFptras(
     const FormulaPtr& query, const UnreliableDatabase& db,
     const Tuple& assignment, const ApproxOptions& options) {
-  QREL_RETURN_IF_ERROR(ValidateCommonOptions(options));
+  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
   StatusOr<PrenexExistential> prenex = ToPrenexExistential(query);
   if (!prenex.ok()) {
     return prenex.status();
@@ -140,7 +164,7 @@ StatusOr<ApproxResult> ExistentialProbabilityFptras(
 StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
     const FormulaPtr& query, const UnreliableDatabase& db,
     const ApproxOptions& options) {
-  QREL_RETURN_IF_ERROR(ValidateCommonOptions(options));
+  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
 
   // Work with an existential formula: ψ itself, or ¬ψ for universal ψ.
   bool universal = false;
@@ -181,7 +205,7 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   // with several tuples a partially covered tuple space is not.
   per_tuple.allow_truncation = options.allow_truncation && *tuple_count == 1;
 
-  // Claimed before the tuple loop so the Karp-Luby scope inside
+  // Claimed before the tuple loop so the Karp-Luby loop inside
   // FptrasFromPrenex stays inert: checkpoint granularity is one finished
   // tuple, whose state (plus the seeder) determines everything after it.
   Fingerprint fingerprint;
@@ -201,8 +225,12 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   // that is where a long run spends its time, and the only place a drain
   // cancellation or SIGINT can flush usable progress. With more than one
   // tuple the per-tuple accumulators must own the snapshot.
-  CheckpointScope checkpoint(*tuple_count > 1 ? options.run_context : nullptr,
-                             "core.absolute_approx.v1", fingerprint.value());
+  GovernedLoop loop(options.run_context,
+                    {.kind = "core.absolute_approx.v1",
+                     .fingerprint = fingerprint.value(),
+                     .end = *tuple_count,
+                     .fault_site = "core.approx.tuple",
+                     .checkpoint = *tuple_count > 1});
 
   Rng seeder(options.seed);
   double expected_error = 0.0;
@@ -210,61 +238,47 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   bool truncated = false;
   double worst_sub_epsilon = 0.0;  // worst per-tuple achieved (relative) ε
   Tuple assignment(static_cast<size_t>(k), 0);
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      Tuple saved;
-      QREL_RETURN_IF_ERROR(resume->TupleVal(&saved));
-      if (saved.size() != assignment.size()) {
-        return Status::DataLoss("snapshot tuple arity mismatch");
-      }
-      for (Element element : saved) {
-        if (element < 0 || element >= n) {
-          return Status::DataLoss("snapshot tuple element out of range");
+  // Payload: the next tuple, the accumulators, the per-tuple seeder.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* next) {
+    QREL_RETURN_IF_ERROR(ReadTuple(r, n, k, &assignment, next));
+    QREL_RETURN_IF_ERROR(r.Double(&expected_error));
+    QREL_RETURN_IF_ERROR(r.U64(&samples));
+    uint8_t truncated_byte = 0;
+    QREL_RETURN_IF_ERROR(r.U8(&truncated_byte));
+    truncated = truncated_byte != 0;
+    QREL_RETURN_IF_ERROR(r.Double(&worst_sub_epsilon));
+    return r.RngState(&seeder);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t) {
+        w.TupleVal(assignment);
+        w.Double(expected_error);
+        w.U64(samples);
+        w.U8(truncated ? 1 : 0);
+        w.Double(worst_sub_epsilon);
+        w.RngState(seeder);
+      },
+      [&](uint64_t) {
+        per_tuple.seed = seeder.NextUint64();
+        StatusOr<ApproxResult> nu =
+            FptrasFromPrenex(*prenex, db, assignment, per_tuple);
+        if (!nu.ok()) {
+          return nu.status();
         }
-      }
-      QREL_RETURN_IF_ERROR(resume->Double(&expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&samples));
-      uint8_t truncated_byte = 0;
-      QREL_RETURN_IF_ERROR(resume->U8(&truncated_byte));
-      truncated = truncated_byte != 0;
-      QREL_RETURN_IF_ERROR(resume->Double(&worst_sub_epsilon));
-      QREL_RETURN_IF_ERROR(resume->RngState(&seeder));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-      assignment = std::move(saved);
-    }
-  }
-  do {
-    // Checkpoint before charging so the resumed run re-charges this tuple
-    // and the work counter continues exactly.
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.TupleVal(assignment);
-      w.Double(expected_error);
-      w.U64(samples);
-      w.U8(truncated ? 1 : 0);
-      w.Double(worst_sub_epsilon);
-      w.RngState(seeder);
-    }));
-    QREL_RETURN_IF_ERROR(ChargeWork(options.run_context));
-    QREL_FAULT_SITE("core.approx.tuple");
-    per_tuple.seed = seeder.NextUint64();
-    StatusOr<ApproxResult> nu =
-        FptrasFromPrenex(*prenex, db, assignment, per_tuple);
-    if (!nu.ok()) {
-      return nu.status();
-    }
-    samples += nu->samples;
-    truncated = truncated || nu->truncated;
-    if (nu->achieved_epsilon.has_value()) {
-      worst_sub_epsilon = std::max(worst_sub_epsilon, *nu->achieved_epsilon);
-    }
-    bool observed = compiled->Eval(db.observed(), assignment);
-    // nu estimates Pr[target(ā)]; translate into Pr[ψ(ā) wrong].
-    double prob_true =
-        universal ? 1.0 - nu->estimate : nu->estimate;  // Pr[𝔅 ⊨ ψ(ā)]
-    expected_error += observed ? 1.0 - prob_true : prob_true;
-  } while (AdvanceTuple(&assignment, n));
+        samples += nu->samples;
+        truncated = truncated || nu->truncated;
+        if (nu->achieved_epsilon.has_value()) {
+          worst_sub_epsilon =
+              std::max(worst_sub_epsilon, *nu->achieved_epsilon);
+        }
+        bool observed = compiled->Eval(db.observed(), assignment);
+        // nu estimates Pr[target(ā)]; translate into Pr[ψ(ā) wrong].
+        double prob_true =
+            universal ? 1.0 - nu->estimate : nu->estimate;  // Pr[𝔅 ⊨ ψ(ā)]
+        expected_error += observed ? 1.0 - prob_true : prob_true;
+        AdvanceTuple(&assignment, n);
+        return Status::Ok();
+      }));
 
   ApproxResult result;
   result.samples = samples;
@@ -288,10 +302,7 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
 StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
                                                const UnreliableDatabase& db,
                                                const ApproxOptions& options) {
-  QREL_RETURN_IF_ERROR(ValidateCommonOptions(options));
-  if (options.xi <= 0.0 || options.xi >= 0.5) {
-    return Status::InvalidArgument("xi must lie in (0, 1/2)");
-  }
+  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   if (!compiled.ok()) {
@@ -311,6 +322,9 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
       options.fixed_samples.has_value()
           ? *options.fixed_samples
           : PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta);
+  if (per_samples > UINT64_MAX / *tuple_count) {
+    return Status::OutOfRange("padded sample plan exceeds 2^64 samples");
+  }
 
   Fingerprint fingerprint;
   fingerprint.Mix("core.padded")
@@ -322,88 +336,82 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
       .Mix(static_cast<uint64_t>(db.model().entry_count()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(options.run_context, "core.padded.v1",
-                             fingerprint.value());
+  // One iteration per (tuple, sample) pair, tuple-major: iteration i draws
+  // sample i mod per_samples of tuple number i / per_samples.
+  GovernedLoop loop(options.run_context,
+                    {.kind = "core.padded.v1",
+                     .fingerprint = fingerprint.value(),
+                     .end = *tuple_count * per_samples,
+                     .fault_site = "core.approx.padded_sample"});
 
   const double xi = options.xi;
   Rng rng(options.seed);
   double expected_error = 0.0;
   uint64_t samples = 0;
   Tuple assignment(static_cast<size_t>(k), 0);
-  // Mid-tuple resume state: the inner sample loop restarts at resume_s
-  // with resume_hits already accumulated (both zero after the first tuple).
-  uint64_t resume_s = 0;
-  uint64_t resume_hits = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      Tuple saved;
-      QREL_RETURN_IF_ERROR(resume->TupleVal(&saved));
-      if (saved.size() != assignment.size()) {
-        return Status::DataLoss("snapshot tuple arity mismatch");
-      }
-      for (Element element : saved) {
-        if (element < 0 || element >= n) {
-          return Status::DataLoss("snapshot tuple element out of range");
-        }
-      }
-      QREL_RETURN_IF_ERROR(resume->U64(&resume_s));
-      QREL_RETURN_IF_ERROR(resume->U64(&resume_hits));
-      QREL_RETURN_IF_ERROR(resume->U64(&samples));
-      QREL_RETURN_IF_ERROR(resume->Double(&expected_error));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-      assignment = std::move(saved);
+  uint64_t s = 0;     // sample index within the current tuple
+  uint64_t hits = 0;  // the current tuple's hits so far
+  // Payload: the current tuple and its sample index and hits, then the
+  // accumulators over finished tuples, then the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* next) {
+    uint64_t rank = 0;
+    QREL_RETURN_IF_ERROR(ReadTuple(r, n, k, &assignment, &rank));
+    QREL_RETURN_IF_ERROR(r.U64(&s));
+    if (s >= per_samples) {
+      return Status::DataLoss("snapshot sample index out of range");
     }
-  }
-  do {
-    bool observed = compiled->Eval(db.observed(), assignment);
-    // X_i = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database: the
-    // two fresh atoms Rc, Rd are virtual — each is an independent
-    // Bernoulli(ξ) draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ.
-    uint64_t hits = resume_hits;
-    for (uint64_t s = resume_s; s < per_samples; ++s) {
-      QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
+    QREL_RETURN_IF_ERROR(r.U64(&hits));
+    QREL_RETURN_IF_ERROR(r.U64(&samples));
+    QREL_RETURN_IF_ERROR(r.Double(&expected_error));
+    *next = rank * per_samples + s;
+    return r.RngState(&rng);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t) {
         w.TupleVal(assignment);
         w.U64(s);
         w.U64(hits);
         w.U64(samples);
         w.Double(expected_error);
         w.RngState(rng);
+      },
+      [&](uint64_t) {
+        // X_i = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database:
+        // the two fresh atoms Rc, Rd are virtual — each is an independent
+        // Bernoulli(ξ) draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ.
+        // ψ' is false whatever ψ evaluates to unless Rd holds.
+        if (rng.NextBernoulli(xi)) {
+          bool psi_true = rng.NextBernoulli(xi);  // Rc
+          if (!psi_true) {
+            World world = db.SampleWorld(&rng);
+            WorldView view(db, world);
+            psi_true = compiled->Eval(view, assignment);
+          }
+          if (psi_true) {
+            ++hits;
+          }
+        }
+        if (++s < per_samples) {
+          return Status::Ok();
+        }
+        // Tuple finished: invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in
+        // the proof) and fold its error in.
+        samples += per_samples;
+        double x_bar =
+            static_cast<double>(hits) / static_cast<double>(per_samples);
+        double nu = std::clamp((x_bar - xi * xi) / (xi - xi * xi), 0.0, 1.0);
+        bool observed = compiled->Eval(db.observed(), assignment);
+        expected_error += observed ? 1.0 - nu : nu;
+        s = 0;
+        hits = 0;
+        AdvanceTuple(&assignment, n);
+        return Status::Ok();
       }));
-      QREL_RETURN_IF_ERROR(ChargeWork(options.run_context));
-      QREL_FAULT_SITE("core.approx.padded_sample");
-      bool rd = rng.NextBernoulli(xi);
-      if (!rd) {
-        continue;  // ψ' is false whatever ψ evaluates to
-      }
-      bool rc = rng.NextBernoulli(xi);
-      bool psi_true = rc;
-      if (!psi_true) {
-        World world = db.SampleWorld(&rng);
-        WorldView view(db, world);
-        psi_true = compiled->Eval(view, assignment);
-      }
-      if (psi_true) {
-        ++hits;
-      }
-    }
-    resume_s = 0;
-    resume_hits = 0;
-    samples += per_samples;
-    double x_bar = static_cast<double>(hits) / static_cast<double>(per_samples);
-    // Invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in the proof).
-    double nu = (x_bar - xi * xi) / (xi - xi * xi);
-    nu = std::clamp(nu, 0.0, 1.0);
-    expected_error += observed ? 1.0 - nu : nu;
-  } while (AdvanceTuple(&assignment, n));
 
   ApproxResult result;
   result.samples = samples;
-  if (per_samples > 0 &&
-      per_samples <
-          PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
+  if (per_samples <
+      PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
     // fixed_samples below the theorem bound: report the guarantee the
     // budget actually buys, scaled back up through the per-tuple split.
     result.achieved_epsilon =

@@ -73,6 +73,12 @@ struct ApproxResult {
   bool truncated = false;
 };
 
+// The option checks every approximation rung (Cor 5.5, Thm 5.12, and the
+// Datalog padded estimator) runs first, so all of them reject a bad
+// request with the same InvalidArgument message: ε and δ in (0, 1), ξ in
+// (0, 1/2), and a positive fixed_samples when one is set.
+Status ValidateApproxOptions(const ApproxOptions& options);
+
 // FPTRAS for ν(ψ(ā)) where ψ is existential (Theorem 5.4): relative error
 // ε with probability ≥ 1-δ. `assignment` instantiates the free variables
 // (empty for sentences). Fails if ψ is not existential.

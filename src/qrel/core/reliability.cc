@@ -6,25 +6,10 @@
 #include "qrel/logic/classify.h"
 #include "qrel/util/check.h"
 #include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
 
 namespace qrel {
 
 namespace {
-
-// All tuples of arity `k` over {0..n-1}, in lexicographic order.
-std::vector<Tuple> AllTuples(int n, int k) {
-  std::vector<Tuple> result;
-  Tuple tuple(static_cast<size_t>(k), 0);
-  do {
-    result.push_back(tuple);
-  } while (AdvanceTuple(&tuple, n));
-  return result;
-}
-
-Rational TupleSpaceSize(int n, int k) {
-  return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)), BigInt(1));
-}
 
 // Answers atom queries from an explicit map; used by the Proposition 3.1
 // algorithm, where only the atoms of ψ(ā) matter.
@@ -85,6 +70,37 @@ void CollectGroundAtoms(
 
 }  // namespace
 
+std::vector<Tuple> AllTuples(int n, int k) {
+  std::vector<Tuple> result;
+  Tuple tuple(static_cast<size_t>(k), 0);
+  do {
+    result.push_back(tuple);
+  } while (AdvanceTuple(&tuple, n));
+  return result;
+}
+
+Rational TupleSpaceSize(int n, int k) {
+  return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)), BigInt(1));
+}
+
+ObservedAnswers::ObservedAnswers(const CompiledQuery& query,
+                                 const UnreliableDatabase& db)
+    : query_(query), tuples_(AllTuples(db.universe_size(), query.arity())) {
+  for (const Tuple& tuple : tuples_) {
+    truth_.push_back(query.Eval(db.observed(), tuple));
+  }
+}
+
+size_t ObservedAnswers::CountDifferences(const AtomOracle& world) const {
+  size_t count = 0;
+  for (size_t i = 0; i < tuples_.size(); ++i) {
+    if (query_.Eval(world, tuples_[i]) != truth_[i]) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
                                              const UnreliableDatabase& db,
                                              RunContext* ctx) {
@@ -99,16 +115,7 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
   }
   int n = db.universe_size();
   int k = compiled->arity();
-  std::vector<Tuple> tuples = AllTuples(n, k);
-
-  // ψ^𝔄 on the observed database, fixed once.
-  std::vector<uint8_t> observed_truth(tuples.size(), 0);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    observed_truth[i] = compiled->Eval(db.observed(), tuples[i]) ? 1 : 0;
-  }
-
-  ReliabilityReport report;
-  report.arity = k;
+  ObservedAnswers observed(*compiled, db);
 
   Fingerprint fingerprint;
   fingerprint.Mix("core.exact")
@@ -117,61 +124,16 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
       .Mix(static_cast<uint64_t>(db.UncertainEntries().size()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "core.exact.v1", fingerprint.value());
-
-  uint64_t code = 0;  // index of the next world to visit
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&code));
-      QREL_RETURN_IF_ERROR(resume->RationalVal(&report.expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&report.work_units));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-
-  Status budget = Status::Ok();
-  db.ForEachWorldWhile(
-      [&](const World& world, const Rational& probability) {
-        // Checkpoint before charging so the resumed run re-charges this
-        // world and the work counter continues without a gap.
-        budget = checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-          w.U64(code);
-          w.RationalVal(report.expected_error);
-          w.U64(report.work_units);
-        });
-        if (budget.ok()) {
-          budget = ChargeWork(ctx);
-        }
-        if (budget.ok()) {
-          budget = QREL_FAULT_HIT("core.exact.world");
-        }
-        if (!budget.ok()) {
-          return false;
-        }
-        ++report.work_units;
-        ++code;
-        if (probability.IsZero()) {
-          return true;
-        }
-        WorldView view(db, world);
-        int differing = 0;
-        for (size_t i = 0; i < tuples.size(); ++i) {
-          bool actual = compiled->Eval(view, tuples[i]);
-          if (actual != (observed_truth[i] != 0)) {
-            ++differing;
-          }
-        }
-        if (differing > 0) {
-          report.expected_error += probability * Rational(differing);
-        }
-        return true;
-      },
-      code);
-  QREL_RETURN_IF_ERROR(budget);
-  report.reliability =
-      Rational(1) - report.expected_error / TupleSpaceSize(n, k);
+  GovernedLoop loop(ctx, {.kind = "core.exact.v1",
+                          .fingerprint = fingerprint.value(),
+                          .end = uint64_t{1} << db.UncertainEntries().size(),
+                          .fault_site = "core.exact.world"});
+  ReliabilityReport report;
+  report.arity = k;
+  QREL_RETURN_IF_ERROR(EnumerateWorlds(
+      db, loop, &report, [&](const WorldView& view) -> StatusOr<size_t> {
+        return observed.CountDifferences(view);
+      }));
   return report;
 }
 

@@ -26,6 +26,7 @@
 #include "qrel/logic/eval.h"
 #include "qrel/logic/second_order.h"
 #include "qrel/prob/unreliable_database.h"
+#include "qrel/util/governed_loop.h"
 #include "qrel/util/rational.h"
 #include "qrel/util/run_context.h"
 #include "qrel/util/status.h"
@@ -40,6 +41,71 @@ struct ReliabilityReport {
   // assignments summed (quantifier-free algorithm).
   uint64_t work_units = 0;
 };
+
+// All tuples of arity `k` over {0..n-1}, in AdvanceTuple order.
+std::vector<Tuple> AllTuples(int n, int k);
+
+// n^k exactly: the size of the answer space R_ψ is normalized by.
+Rational TupleSpaceSize(int n, int k);
+
+// ψ^𝔄, computed once: every k-tuple with its truth value in the observed
+// database, to compare enumerated or sampled worlds against.
+class ObservedAnswers {
+ public:
+  ObservedAnswers(const CompiledQuery& query, const UnreliableDatabase& db);
+
+  // |ψ^𝔄 Δ ψ^𝔅| for the world `world` (a WorldView).
+  size_t CountDifferences(const AtomOracle& world) const;
+
+ private:
+  const CompiledQuery& query_;
+  std::vector<Tuple> tuples_;
+  std::vector<bool> truth_;
+};
+
+// Thm 4.2's world loop, shared by the first-order and Datalog exact rungs.
+// `loop` (end = 2^u, the world count) visits every world of `db`, and
+// `differing(const WorldView&)` returns |ψ^𝔄 Δ ψ^𝔅| for one world as a
+// StatusOr<size_t>. Accumulates H = Σ ν(𝔅)·|ψ^𝔄 Δ ψ^𝔅| and the world
+// count into `report` and sets R = 1 − H/n^k for its arity k. Snapshot
+// payload: the next world's code, then expected_error and work_units.
+template <typename Differing>
+Status EnumerateWorlds(const UnreliableDatabase& db, GovernedLoop& loop,
+                       ReliabilityReport* report,
+                       const Differing& differing) {
+  WorldEnumerator worlds(db);
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* code) {
+    QREL_RETURN_IF_ERROR(r.U64(code));
+    QREL_RETURN_IF_ERROR(r.RationalVal(&report->expected_error));
+    return r.U64(&report->work_units);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t code) {
+        w.U64(code);
+        w.RationalVal(report->expected_error);
+        w.U64(report->work_units);
+      },
+      [&](uint64_t code) {
+        ++report->work_units;
+        Rational probability = worlds.Probability(code);
+        if (probability.IsZero()) {
+          return Status::Ok();
+        }
+        StatusOr<size_t> count = differing(WorldView(db, worlds.Seek(code)));
+        if (!count.ok()) {
+          return count.status();
+        }
+        if (*count > 0) {
+          report->expected_error +=
+              probability * Rational(static_cast<int64_t>(*count));
+        }
+        return Status::Ok();
+      }));
+  report->reliability =
+      Rational(1) - report->expected_error /
+                        TupleSpaceSize(db.universe_size(), report->arity);
+  return Status::Ok();
+}
 
 // Exact H_ψ and R_ψ by possible-world enumeration (Theorem 4.2). Works for
 // every first-order query; cost Θ(2^u · n^k) query evaluations with

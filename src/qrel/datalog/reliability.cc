@@ -4,18 +4,11 @@
 #include <cmath>
 #include <vector>
 
-#include "qrel/util/check.h"
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
 namespace {
-
-Rational TupleSpaceSize(int n, int k) {
-  return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)),
-                  BigInt(1));
-}
 
 size_t SymmetricDifferenceSize(const std::set<Tuple>& a,
                                const std::set<Tuple>& b) {
@@ -53,82 +46,34 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
       .Mix(static_cast<uint64_t>(db.UncertainEntries().size()))
       .Mix(program.program().ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "datalog.exact.v1", fingerprint.value());
+  GovernedLoop loop(ctx, {.kind = "datalog.exact.v1",
+                          .fingerprint = fingerprint.value(),
+                          .end = uint64_t{1} << db.UncertainEntries().size(),
+                          .fault_site = "datalog.exact.world"});
 
   StatusOr<std::set<Tuple>> observed =
       program.EvalPredicate(db.observed(), predicate, ctx);
   if (!observed.ok()) {
     return observed.status();
   }
-
   ReliabilityReport report;
   report.arity = *arity;
-  uint64_t code = 0;  // index of the next world to visit
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&code));
-      QREL_RETURN_IF_ERROR(resume->RationalVal(&report.expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&report.work_units));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-
-  Status budget = Status::Ok();
-  db.ForEachWorldWhile(
-      [&](const World& world, const Rational& probability) {
-        budget = checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-          w.U64(code);
-          w.RationalVal(report.expected_error);
-          w.U64(report.work_units);
-        });
-        if (budget.ok()) {
-          budget = ChargeWork(ctx);
-        }
-        if (budget.ok()) {
-          budget = QREL_FAULT_HIT("datalog.exact.world");
-        }
-        if (!budget.ok()) {
-          return false;
-        }
-        ++report.work_units;
-        ++code;
-        if (probability.IsZero()) {
-          return true;
-        }
-        WorldView view(db, world);
+  QREL_RETURN_IF_ERROR(EnumerateWorlds(
+      db, loop, &report, [&](const WorldView& view) -> StatusOr<size_t> {
         StatusOr<std::set<Tuple>> actual =
             program.EvalPredicate(view, predicate, ctx);
         if (!actual.ok()) {
-          budget = actual.status();  // the envelope, or an injected fault
-          return false;
+          return actual.status();  // the envelope, or an injected fault
         }
-        size_t differing = SymmetricDifferenceSize(*observed, *actual);
-        if (differing > 0) {
-          report.expected_error +=
-              probability * Rational(static_cast<int64_t>(differing));
-        }
-        return true;
-      },
-      code);
-  QREL_RETURN_IF_ERROR(budget);
-  report.reliability =
-      Rational(1) -
-      report.expected_error / TupleSpaceSize(db.universe_size(), *arity);
+        return SymmetricDifferenceSize(*observed, *actual);
+      }));
   return report;
 }
 
 StatusOr<ApproxResult> PaddedDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, const ApproxOptions& options) {
-  if (options.epsilon <= 0.0 || options.epsilon >= 1.0 ||
-      options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
-  }
-  if (options.xi <= 0.0 || options.xi >= 0.5) {
-    return Status::InvalidArgument("xi must lie in (0, 1/2)");
-  }
+  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
   StatusOr<int> arity = program.PredicateArity(predicate);
   if (!arity.ok()) {
     return arity.status();
@@ -140,7 +85,12 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
   if (tuple_count > static_cast<double>(uint64_t{1} << 22)) {
     return Status::OutOfRange("answer space too large");
   }
-  uint64_t tuples = static_cast<uint64_t>(tuple_count);
+  double per_epsilon = options.epsilon / tuple_count;
+  double per_delta = options.delta / tuple_count;
+  uint64_t samples =
+      options.fixed_samples.has_value()
+          ? *options.fixed_samples
+          : PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta);
 
   // Claimed before any EvalPredicate call so the per-world fixpoint scope
   // is inert; granularity is one sampled world.
@@ -155,8 +105,12 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
       .Mix(static_cast<uint64_t>(db.model().entry_count()))
       .Mix(program.program().ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(options.run_context, "datalog.padded.v1",
-                             fingerprint.value());
+  GovernedLoop loop(options.run_context,
+                    {.kind = "datalog.padded.v1",
+                     .fingerprint = fingerprint.value(),
+                     .end = samples,
+                     .fault_site = "datalog.padded.world",
+                     .allow_truncation = options.allow_truncation});
 
   StatusOr<std::set<Tuple>> observed =
       program.EvalPredicate(db.observed(), predicate, options.run_context);
@@ -164,102 +118,58 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
     return observed.status();
   }
 
-  double per_epsilon = options.epsilon / tuple_count;
-  double per_delta = options.delta / tuple_count;
-  uint64_t samples =
-      options.fixed_samples.has_value()
-          ? *options.fixed_samples
-          : PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta);
-
   // Enumerate the tuple space once; per-tuple hit counters.
-  std::vector<Tuple> all_tuples;
-  {
-    Tuple tuple(static_cast<size_t>(k), 0);
-    do {
-      all_tuples.push_back(tuple);
-    } while (AdvanceTuple(&tuple, n));
-  }
-  QREL_CHECK_EQ(all_tuples.size(), static_cast<size_t>(tuples));
+  std::vector<Tuple> all_tuples = AllTuples(n, k);
   std::vector<uint64_t> hits(all_tuples.size(), 0);
 
   const double xi = options.xi;
   Rng rng(options.seed);
-  bool truncated = false;
-  uint64_t drawn = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&drawn));
-      uint32_t hit_count = 0;
-      QREL_RETURN_IF_ERROR(resume->U32(&hit_count));
-      if (hit_count != hits.size()) {
-        return Status::DataLoss("snapshot hit-counter count mismatch");
-      }
-      for (uint64_t& h : hits) {
-        QREL_RETURN_IF_ERROR(resume->U64(&h));
-      }
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
+  // Payload: samples drawn, the per-tuple hit counters, the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* drawn) {
+    QREL_RETURN_IF_ERROR(r.U64(drawn));
+    uint32_t hit_count = 0;
+    QREL_RETURN_IF_ERROR(r.U32(&hit_count));
+    if (hit_count != hits.size()) {
+      return Status::DataLoss("snapshot hit-counter count mismatch");
     }
-  }
-  for (uint64_t s = drawn; s < samples; ++s) {
-    Status budget = checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(drawn);
-      w.U32(static_cast<uint32_t>(hits.size()));
-      for (uint64_t h : hits) {
-        w.U64(h);
-      }
-      w.RngState(rng);
-    });
-    if (budget.ok()) {
-      budget = ChargeWork(options.run_context);
+    for (uint64_t& h : hits) {
+      QREL_RETURN_IF_ERROR(r.U64(&h));
     }
-    if (budget.ok()) {
-      budget = QREL_FAULT_HIT("datalog.padded.world");
-    }
-    std::set<Tuple> actual;
-    if (budget.ok()) {
-      World world = db.SampleWorld(&rng);
-      WorldView view(db, world);
-      StatusOr<std::set<Tuple>> evaluated =
-          program.EvalPredicate(view, predicate, options.run_context);
-      if (evaluated.ok()) {
-        actual = std::move(evaluated).value();
-      } else {
-        budget = evaluated.status();  // the fixpoint tripped mid-world
-      }
-    }
-    if (!budget.ok()) {
-      // A prefix of completed worlds is a valid (smaller) sample for every
-      // tuple at once, so truncation is sound on an envelope trip — never
-      // on cancellation, and never on a non-budget failure (e.g. an
-      // injected fault), which must surface as-is.
-      if (options.allow_truncation && drawn > 0 &&
-          IsBudgetStatusCode(budget.code()) &&
-          budget.code() != StatusCode::kCancelled) {
-        truncated = true;
-        break;
-      }
-      return budget;
-    }
-    for (size_t i = 0; i < all_tuples.size(); ++i) {
-      bool rd = rng.NextBernoulli(xi);
-      if (!rd) {
-        continue;
-      }
-      bool rc = rng.NextBernoulli(xi);
-      bool psi_true =
-          rc || actual.find(all_tuples[i]) != actual.end();
-      if (psi_true) {
-        ++hits[i];
-      }
-    }
-    ++drawn;
-  }
-  if (drawn == 0) {
-    return Status::InvalidArgument("padded estimator needs at least 1 sample");
-  }
+    return r.RngState(&rng);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t drawn) {
+        w.U64(drawn);
+        w.U32(static_cast<uint32_t>(hits.size()));
+        for (uint64_t h : hits) {
+          w.U64(h);
+        }
+        w.RngState(rng);
+      },
+      [&](uint64_t) {
+        World world = db.SampleWorld(&rng);
+        WorldView view(db, world);
+        // A fixpoint trip mid-world is a budget trip like any other: the
+        // completed worlds are a valid (smaller) sample for every tuple.
+        StatusOr<std::set<Tuple>> actual =
+            program.EvalPredicate(view, predicate, options.run_context);
+        if (!actual.ok()) {
+          return actual.status();
+        }
+        for (size_t i = 0; i < all_tuples.size(); ++i) {
+          bool rd = rng.NextBernoulli(xi);
+          if (!rd) {
+            continue;
+          }
+          bool rc = rng.NextBernoulli(xi);
+          bool psi_true = rc || actual->find(all_tuples[i]) != actual->end();
+          if (psi_true) {
+            ++hits[i];
+          }
+        }
+        return Status::Ok();
+      }));
+  uint64_t drawn = loop.next();
 
   double expected_error = 0.0;
   for (size_t i = 0; i < all_tuples.size(); ++i) {
@@ -273,9 +183,8 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
 
   ApproxResult result;
   result.samples = drawn;
-  result.truncated = truncated;
-  if (drawn > 0 &&
-      drawn < PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
+  result.truncated = loop.truncated();
+  if (drawn < PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
     result.achieved_epsilon =
         PaddedAchievedEpsilon(options.xi, drawn, per_delta) * tuple_count;
   }

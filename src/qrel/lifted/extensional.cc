@@ -14,11 +14,6 @@ namespace qrel {
 
 namespace {
 
-Rational TupleSpaceSize(int n, int k) {
-  return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)),
-                  BigInt(1));
-}
-
 // A safe plan with relation names resolved to ids and variables mapped to
 // dense environment slots, so the per-tuple inner loop does no string
 // work (mirroring logic/eval.h's CompiledQuery).

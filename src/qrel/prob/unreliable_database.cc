@@ -163,37 +163,44 @@ void UnreliableDatabase::ForEachWorld(
 }
 
 bool UnreliableDatabase::ForEachWorldWhile(
-    const std::function<bool(const World&, const Rational&)>& fn,
-    uint64_t first_code) const {
-  size_t u = uncertain_entries_.size();
-  QREL_CHECK_MSG(u <= 62, "world enumeration over more than 62 atoms");
-
-  // Probability contributions of the uncertain entries, reused per world.
-  std::vector<Rational> mu(u);
-  std::vector<Rational> one_minus_mu(u);
-  for (size_t i = 0; i < u; ++i) {
-    mu[i] = model_.error(uncertain_entries_[i]);
-    one_minus_mu[i] = mu[i].Complement();
-  }
-
-  World world(model_.entry_count());
-  for (int id : certain_flip_entries_) {
-    world.SetFlipped(id, true);
-  }
-
-  uint64_t world_count = uint64_t{1} << u;
-  for (uint64_t code = first_code; code < world_count; ++code) {
-    Rational probability = Rational::One();
-    for (size_t i = 0; i < u; ++i) {
-      bool flipped = (code >> i) & 1u;
-      world.SetFlipped(uncertain_entries_[i], flipped);
-      probability *= flipped ? mu[i] : one_minus_mu[i];
-    }
-    if (!fn(world, probability)) {
+    const std::function<bool(const World&, const Rational&)>& fn) const {
+  WorldEnumerator worlds(*this);
+  for (uint64_t code = 0; code < worlds.world_count(); ++code) {
+    if (!fn(worlds.Seek(code), worlds.Probability(code))) {
       return false;
     }
   }
   return true;
+}
+
+WorldEnumerator::WorldEnumerator(const UnreliableDatabase& db)
+    : entries_(db.UncertainEntries()), world_(db.model().entry_count()) {
+  QREL_CHECK_MSG(entries_.size() <= 62,
+                 "world enumeration over more than 62 atoms");
+  mu_.reserve(entries_.size());
+  one_minus_mu_.reserve(entries_.size());
+  for (int id : entries_) {
+    mu_.push_back(db.model().error(id));
+    one_minus_mu_.push_back(mu_.back().Complement());
+  }
+  for (int id : db.model().CertainFlipEntries()) {
+    world_.SetFlipped(id, true);
+  }
+}
+
+const World& WorldEnumerator::Seek(uint64_t code) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    world_.SetFlipped(entries_[i], (code >> i) & 1u);
+  }
+  return world_;
+}
+
+Rational WorldEnumerator::Probability(uint64_t code) const {
+  Rational probability = Rational::One();
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    probability *= ((code >> i) & 1u) ? mu_[i] : one_minus_mu_[i];
+  }
+  return probability;
 }
 
 Structure UnreliableDatabase::MaterializeWorld(const World& world) const {

@@ -107,16 +107,10 @@ class UnreliableDatabase {
   void ForEachWorld(
       const std::function<void(const World&, const Rational&)>& fn) const;
 
-  // Like ForEachWorld, but the callback returns false to stop early (used
-  // by budgeted/cancellable enumeration loops — see util/run_context.h).
-  // Enumeration starts at world index `first_code` (worlds are indexed by
-  // the bitmask over uncertain entries, in increasing order) — nonzero only
-  // for checkpoint resume (util/snapshot.h), which must continue the scan
-  // exactly where the interrupted run stopped. Returns true iff every
-  // remaining world was visited.
+  // Like ForEachWorld, but the callback returns false to stop early.
+  // Returns true iff every world was visited.
   bool ForEachWorldWhile(
-      const std::function<bool(const World&, const Rational&)>& fn,
-      uint64_t first_code = 0) const;
+      const std::function<bool(const World&, const Rational&)>& fn) const;
 
   // Copies the observed database and applies the world's flips; for tests
   // and materializing examples. Prefer WorldView for evaluation.
@@ -136,6 +130,32 @@ class UnreliableDatabase {
   std::vector<int> certain_flip_entries_;
 
   void RefreshEntryCaches();
+};
+
+// Random access into Ω(𝔇) in enumeration order: world `code` is the
+// bitmask over db.UncertainEntries() (bit i flips entry i), the order in
+// which ForEachWorldWhile visits worlds. The governed exact loops index
+// worlds this way, so a resumed run restarts at any code.
+class WorldEnumerator {
+ public:
+  // Aborts if db has more than 62 uncertain atoms (the code would
+  // overflow — and such an enumeration would never finish anyway).
+  explicit WorldEnumerator(const UnreliableDatabase& db);
+
+  uint64_t world_count() const { return uint64_t{1} << mu_.size(); }
+
+  // Sets world() to world `code` and returns it.
+  const World& Seek(uint64_t code);
+  const World& world() const { return world_; }
+  // The exact probability ν(𝔅) of world `code`.
+  Rational Probability(uint64_t code) const;
+
+ private:
+  const std::vector<int>& entries_;
+  // Probability contributions of the uncertain entries, reused per world.
+  std::vector<Rational> mu_;
+  std::vector<Rational> one_minus_mu_;
+  World world_;
 };
 
 }  // namespace qrel

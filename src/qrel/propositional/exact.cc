@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "qrel/util/check.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -120,46 +120,40 @@ StatusOr<Rational> BruteForceDnfProbability(
   Fingerprint fingerprint;
   fingerprint.Mix("propositional.brute_force");
   MixDnfContent(dnf, prob_true, &fingerprint);
-  CheckpointScope checkpoint(ctx, "propositional.brute_force.v1",
-                             fingerprint.value());
+  GovernedLoop loop(ctx, {.kind = "propositional.brute_force.v1",
+                          .fingerprint = fingerprint.value(),
+                          .end = uint64_t{1} << n});
 
   Rational total;
-  uint64_t start_code = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&start_code));
-      QREL_RETURN_IF_ERROR(resume->RationalVal(&total));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-
+  // Payload: the next assignment's code, then the running total.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* code) {
+    QREL_RETURN_IF_ERROR(r.U64(code));
+    return r.RationalVal(&total);
+  }));
   PropAssignment assignment(n, 0);
-  for (uint64_t code = start_code; code < (uint64_t{1} << n); ++code) {
-    // Checkpoint before charging: on resume the loop re-enters at `code`
-    // and charges it again, so the work counter continues exactly.
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(code);  // this assignment not yet folded into `total`
-      w.RationalVal(total);
-    }));
-    QREL_RETURN_IF_ERROR(ChargeWork(ctx));
-    for (size_t i = 0; i < n; ++i) {
-      assignment[i] = (code >> i) & 1u;
-    }
-    if (!dnf.Eval(assignment)) {
-      continue;
-    }
-    Rational probability = Rational::One();
-    for (size_t i = 0; i < n; ++i) {
-      probability *=
-          assignment[i] ? prob_true[i] : prob_true[i].Complement();
-      if (probability.IsZero()) {
-        break;
-      }
-    }
-    total += probability;
-  }
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t code) {
+        w.U64(code);
+        w.RationalVal(total);
+      },
+      [&](uint64_t code) {
+        for (size_t i = 0; i < n; ++i) {
+          assignment[i] = (code >> i) & 1u;
+        }
+        if (!dnf.Eval(assignment)) {
+          return Status::Ok();
+        }
+        Rational probability = Rational::One();
+        for (size_t i = 0; i < n; ++i) {
+          probability *=
+              assignment[i] ? prob_true[i] : prob_true[i].Complement();
+          if (probability.IsZero()) {
+            break;
+          }
+        }
+        total += probability;
+        return Status::Ok();
+      }));
   return total;
 }
 

@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "qrel/util/check.h"
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -99,89 +98,77 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
                : uint64_t{0})
       .MixDouble(total_weight);
   MixDnfContent(dnf, prob_true, &fingerprint);
-  CheckpointScope checkpoint(options.run_context, "propositional.karp_luby.v1",
-                             fingerprint.value());
+  GovernedLoop loop(options.run_context,
+                    {.kind = "propositional.karp_luby.v1",
+                     .fingerprint = fingerprint.value(),
+                     .end = samples,
+                     .fault_site = "propositional.karp_luby.sample",
+                     .allow_truncation = options.allow_truncation});
 
   Rng rng(options.seed);
   PropAssignment assignment(static_cast<size_t>(dnf.variable_count()), 0);
   double sum = 0.0;
-  uint64_t drawn = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&drawn));
-      QREL_RETURN_IF_ERROR(resume->Double(&sum));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-  for (uint64_t s = drawn; s < samples; ++s) {
-    QREL_FAULT_SITE("propositional.karp_luby.sample");
-    if (options.run_context != nullptr) {
-      Status budget = options.run_context->Charge();
-      if (!budget.ok()) {
-        // A prefix of the zero-one sample sequence is still an unbiased
-        // estimator; keep it when the caller opted in (never for an
-        // explicit cancellation).
-        if (options.allow_truncation && drawn > 0 &&
-            budget.code() != StatusCode::kCancelled) {
-          result.truncated = true;
-          break;
+  // Payload: samples drawn, the running sum, the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* drawn) {
+    QREL_RETURN_IF_ERROR(r.U64(drawn));
+    QREL_RETURN_IF_ERROR(r.Double(&sum));
+    return r.RngState(&rng);
+  }));
+  // A prefix of the zero-one sample sequence is still an unbiased
+  // estimator, so a truncated run (when the caller opted in) keeps it.
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t drawn) {
+        w.U64(drawn);
+        w.Double(sum);
+        w.RngState(rng);
+      },
+      [&](uint64_t) {
+        // Pick a term with probability proportional to its weight.
+        double u = rng.NextDouble() * total_weight;
+        size_t pick =
+            static_cast<size_t>(std::lower_bound(cumulative.begin(),
+                                                 cumulative.end(), u) -
+                                cumulative.begin());
+        if (pick >= live_terms.size()) {
+          pick = live_terms.size() - 1;  // guard against u == total_weight
         }
-        return budget;
-      }
-    }
-    // Pick a term with probability proportional to its weight.
-    double u = rng.NextDouble() * total_weight;
-    size_t pick =
-        static_cast<size_t>(std::lower_bound(cumulative.begin(),
-                                             cumulative.end(), u) -
-                            cumulative.begin());
-    if (pick >= live_terms.size()) {
-      pick = live_terms.size() - 1;  // guard against u == total_weight
-    }
-    int term_index = live_terms[pick];
+        int term_index = live_terms[pick];
 
-    // Draw an assignment conditioned on that term being satisfied: the
-    // term's literals are forced, all other variables are independent.
-    for (int v = 0; v < dnf.variable_count(); ++v) {
-      const Rational& p = prob_true[static_cast<size_t>(v)];
-      bool value;
-      if (p.denominator().FitsInt64()) {
-        uint64_t den = static_cast<uint64_t>(p.denominator().ToInt64());
-        uint64_t num = static_cast<uint64_t>(p.numerator().ToInt64());
-        value = rng.NextBelow(den) < num;
-      } else {
-        value = rng.NextBernoulli(p.ToDouble());
-      }
-      assignment[static_cast<size_t>(v)] = value ? 1 : 0;
-    }
-    for (const PropLiteral& literal : dnf.term(term_index)) {
-      assignment[static_cast<size_t>(literal.variable)] =
-          literal.positive ? 1 : 0;
-    }
+        // Draw an assignment conditioned on that term being satisfied: the
+        // term's literals are forced, all other variables are independent.
+        for (int v = 0; v < dnf.variable_count(); ++v) {
+          const Rational& p = prob_true[static_cast<size_t>(v)];
+          bool value;
+          if (p.denominator().FitsInt64()) {
+            uint64_t den = static_cast<uint64_t>(p.denominator().ToInt64());
+            uint64_t num = static_cast<uint64_t>(p.numerator().ToInt64());
+            value = rng.NextBelow(den) < num;
+          } else {
+            value = rng.NextBernoulli(p.ToDouble());
+          }
+          assignment[static_cast<size_t>(v)] = value ? 1 : 0;
+        }
+        for (const PropLiteral& literal : dnf.term(term_index)) {
+          assignment[static_cast<size_t>(literal.variable)] =
+              literal.positive ? 1 : 0;
+        }
 
-    if (options.estimator == KarpLubyOptions::Estimator::kCanonical) {
-      // 1 iff the sampled term is the first satisfied one.
-      if (dnf.FirstSatisfiedTerm(assignment) == term_index) {
-        sum += 1.0;
-      }
-    } else {
-      int covered = dnf.SatisfiedTermCount(assignment);
-      QREL_CHECK_GT(covered, 0);  // the sampled term is satisfied
-      sum += 1.0 / covered;
-    }
-    ++drawn;
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(drawn);
-      w.Double(sum);
-      w.RngState(rng);
-    }));
-  }
+        if (options.estimator == KarpLubyOptions::Estimator::kCanonical) {
+          // 1 iff the sampled term is the first satisfied one.
+          if (dnf.FirstSatisfiedTerm(assignment) == term_index) {
+            sum += 1.0;
+          }
+        } else {
+          int covered = dnf.SatisfiedTermCount(assignment);
+          QREL_CHECK_GT(covered, 0);  // the sampled term is satisfied
+          sum += 1.0 / covered;
+        }
+        return Status::Ok();
+      }));
 
-  result.samples = drawn;
-  result.estimate = total_weight * sum / static_cast<double>(drawn);
+  result.samples = loop.next();
+  result.truncated = loop.truncated();
+  result.estimate = total_weight * sum / static_cast<double>(result.samples);
   // Probabilities cannot exceed 1; the estimator can (slightly).
   result.estimate = std::min(result.estimate, 1.0);
   return result;

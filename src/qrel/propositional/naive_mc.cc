@@ -1,7 +1,6 @@
 #include "qrel/propositional/naive_mc.h"
 
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -23,49 +22,36 @@ StatusOr<NaiveMcResult> NaiveMcProbability(
   Fingerprint fingerprint;
   fingerprint.Mix("propositional.naive_mc").Mix(seed).Mix(samples);
   MixDnfContent(dnf, prob_true, &fingerprint);
-  CheckpointScope checkpoint(ctx, "propositional.naive_mc.v1",
-                             fingerprint.value());
+  GovernedLoop loop(ctx, {.kind = "propositional.naive_mc.v1",
+                          .fingerprint = fingerprint.value(),
+                          .end = samples,
+                          .fault_site = "propositional.naive_mc.sample",
+                          .allow_truncation = allow_truncation});
 
   Rng rng(seed);
   NaiveMcResult result;
-  uint64_t drawn = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&drawn));
-      QREL_RETURN_IF_ERROR(resume->U64(&result.hits));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-  for (uint64_t s = drawn; s < samples; ++s) {
-    QREL_FAULT_SITE("propositional.naive_mc.sample");
-    if (ctx != nullptr) {
-      Status budget = ctx->Charge();
-      if (!budget.ok()) {
-        if (allow_truncation && drawn > 0 &&
-            budget.code() != StatusCode::kCancelled) {
-          result.truncated = true;
-          break;
+  // Payload: samples drawn, hits, the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* drawn) {
+    QREL_RETURN_IF_ERROR(r.U64(drawn));
+    QREL_RETURN_IF_ERROR(r.U64(&result.hits));
+    return r.RngState(&rng);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t drawn) {
+        w.U64(drawn);
+        w.U64(result.hits);
+        w.RngState(rng);
+      },
+      [&](uint64_t) {
+        if (dnf.Eval(SampleAssignment(prob_true, &rng))) {
+          ++result.hits;
         }
-        return budget;
-      }
-    }
-    PropAssignment assignment = SampleAssignment(prob_true, &rng);
-    if (dnf.Eval(assignment)) {
-      ++result.hits;
-    }
-    ++drawn;
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(drawn);
-      w.U64(result.hits);
-      w.RngState(rng);
-    }));
-  }
-  result.samples = drawn;
+        return Status::Ok();
+      }));
+  result.samples = loop.next();
+  result.truncated = loop.truncated();
   result.estimate =
-      static_cast<double>(result.hits) / static_cast<double>(drawn);
+      static_cast<double>(result.hits) / static_cast<double>(result.samples);
   return result;
 }
 

@@ -535,57 +535,39 @@ Status CheckpointScope::TakeResume(std::optional<SnapshotReader>* reader) {
   return Status::Ok();
 }
 
-Status CheckpointScope::MaybeCheckpoint(
-    const std::function<void(SnapshotWriter&)>& fill) {
+bool CheckpointScope::CheckpointDue() const {
   if (checkpointer_ == nullptr) {
-    return Status::Ok();
+    return false;
   }
-  // A pending cooperative cancellation (SIGINT in qrel_cli, a server
-  // drain) or an exhausted work budget means the very next Charge() ends
-  // this run: flush a final checkpoint at this safe point regardless of
-  // the interval, so the interrupted run loses no progress. Both checks
-  // are O(1) loads — deadline expiry is left to the interval writes, which
-  // already consult the clock.
+  // Cancellation and an exhausted work budget are O(1) loads; deadline
+  // expiry is left to the interval writes, which already consult the clock.
   bool trip_pending =
       ctx_ != nullptr &&
       (ctx_->cancellation_requested() ||
        (ctx_->has_work_budget() && ctx_->work_remaining() == 0));
-  if (!trip_pending) {
-    MutexLock lock(&checkpointer_->mu_);
-    if (checkpointer_->last_write_.has_value() &&
-        Checkpointer::Clock::now() - *checkpointer_->last_write_ <
-            checkpointer_->interval_) {
-      return Status::Ok();
-    }
+  MutexLock lock(&checkpointer_->mu_);
+  if (checkpointer_->ForeignResumePending(kind_)) {
+    return false;
   }
-  return CheckpointNow(fill);
+  return trip_pending || !checkpointer_->last_write_.has_value() ||
+         Checkpointer::Clock::now() - *checkpointer_->last_write_ >=
+             checkpointer_->interval_;
 }
 
-Status CheckpointScope::CheckpointNow(
-    const std::function<void(SnapshotWriter&)>& fill) {
-  if (checkpointer_ == nullptr) {
-    return Status::Ok();
-  }
+Status CheckpointScope::WritePayload(std::vector<uint8_t> payload) {
   // Held across the file write: one writer at a time per checkpoint path
   // (WriteSnapshotFile's unique temp names already make concurrent writers
   // safe; the lock makes them ordered, so last_write_/writes_ cannot drift
   // from what is on disk).
   MutexLock lock(&checkpointer_->mu_);
-  if (checkpointer_->resume_.has_value() &&
-      !checkpointer_->resume_consumed_ &&
-      checkpointer_->resume_->kind != kind_) {
-    // The file holds another algorithm's unconsumed progress (e.g. the run
-    // was re-invoked with a different query). Overwriting it would destroy
-    // a resumable checkpoint, so this run proceeds without checkpointing.
-    return Status::Ok();
+  if (checkpointer_->ForeignResumePending(kind_)) {
+    return Status::Ok();  // this run proceeds without checkpointing
   }
   SnapshotData data;
   data.kind = kind_;
   data.fingerprint = fingerprint_;
   data.work_spent = ctx_ != nullptr ? ctx_->work_spent() : 0;
-  SnapshotWriter writer;
-  fill(writer);
-  data.payload = writer.TakeBytes();
+  data.payload = std::move(payload);
   QREL_RETURN_IF_ERROR(WriteSnapshotFile(checkpointer_->path_, data));
   checkpointer_->last_write_ = Checkpointer::Clock::now();
   ++checkpointer_->writes_;

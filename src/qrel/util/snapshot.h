@@ -16,8 +16,12 @@
 //    and hands the previous run's snapshot to whichever algorithm it
 //    belongs to.
 //  - A **CheckpointScope** claimed by the outermost governed loop of each
-//    algorithm (Karp-Luby / naive-MC sampling, exact world enumeration,
-//    the padded and absolute-error estimators, the Datalog fixpoint). The
+//    algorithm. Two places construct one: the GovernedLoop kernel
+//    (util/governed_loop.h), which runs exact world enumeration (core,
+//    Datalog, propositional brute force), Karp-Luby and naive-MC sampling,
+//    the Cor 5.5 tuple loop, the core and Datalog padded estimators and
+//    the absolute-reliability falsifier; and the Datalog fixpoint, whose
+//    state is a stratum and round frontier rather than an index. The
 //    scope serializes loop state — counters, accumulators, the full RNG
 //    state (util/rng.h) — at safe points, and restores it on resume so the
 //    continued run draws the *same* random stream and accumulates in the
@@ -49,7 +53,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -228,6 +231,13 @@ class Checkpointer {
  private:
   friend class CheckpointScope;
 
+  // The file holds another algorithm's unconsumed progress (e.g. the run
+  // was re-invoked with a different query). Overwriting it would destroy
+  // a resumable checkpoint, so a scope of `kind` must not write.
+  bool ForeignResumePending(std::string_view kind) const QREL_REQUIRES(mu_) {
+    return resume_.has_value() && !resume_consumed_ && resume_->kind != kind;
+  }
+
   std::string path_;          // immutable after construction
   Clock::duration interval_;  // immutable after construction
 
@@ -245,8 +255,8 @@ class Checkpointer {
   uint64_t writes_ QREL_GUARDED_BY(mu_) = 0;
 };
 
-// RAII claim on a RunContext's Checkpointer. Constructed by every
-// checkpointable loop; active only for the outermost one (and only when a
+// RAII claim on a RunContext's Checkpointer. Constructed by GovernedLoop
+// and the Datalog fixpoint; active only for the outermost one (and only when a
 // checkpointer is attached at all), inert otherwise — all methods on an
 // inert scope are cheap no-ops.
 class CheckpointScope {
@@ -276,20 +286,40 @@ class CheckpointScope {
   // resuming — or silently discarding it — would both be wrong.
   Status TakeResume(std::optional<SnapshotReader>* reader);
 
-  // Writes a checkpoint when the interval has elapsed (always, for a zero
-  // interval). Also writes when the RunContext has a cancellation pending
-  // or its work budget is already spent — the next Charge() ends the run,
-  // so this is the last safe point and the final state is flushed instead
-  // of losing everything since the previous interval write (the qrel_cli
-  // SIGINT and server-drain paths rely on this). `fill` serializes the
-  // loop state into the payload. Safe to call from tight loops: the
-  // inert/not-due paths are a few compares and relaxed loads.
-  Status MaybeCheckpoint(const std::function<void(SnapshotWriter&)>& fill);
+  // Whether a checkpoint is due at this safe point: the interval has
+  // elapsed (always, for a zero interval), or the RunContext has a
+  // cancellation pending or its work budget already spent — the next
+  // Charge() ends the run, so this is the last safe point and the final
+  // state is flushed instead of losing everything since the previous
+  // interval write (the qrel_cli SIGINT and server-drain paths rely on
+  // this). Never due while the file holds another kind's unconsumed
+  // snapshot. False on an inert scope after one pointer compare; an
+  // active scope also takes the checkpointer lock and reads the clock.
+  bool CheckpointDue() const;
+
+  // Writes a checkpoint when one is due; `fill(SnapshotWriter&)`
+  // serializes the loop state into the payload and runs only then. A
+  // template, so a loop that passes a lambda pays no allocation or
+  // type-erased call on the not-due path.
+  template <typename Fill>
+  Status MaybeCheckpoint(const Fill& fill) {
+    return CheckpointDue() ? CheckpointNow(fill) : Status::Ok();
+  }
 
   // Writes unconditionally (scope entry/exit, stratum boundaries).
-  Status CheckpointNow(const std::function<void(SnapshotWriter&)>& fill);
+  template <typename Fill>
+  Status CheckpointNow(const Fill& fill) {
+    if (checkpointer_ == nullptr) {
+      return Status::Ok();
+    }
+    SnapshotWriter writer;
+    fill(writer);
+    return WritePayload(writer.TakeBytes());
+  }
 
  private:
+  Status WritePayload(std::vector<uint8_t> payload);
+
   RunContext* ctx_ = nullptr;
   Checkpointer* checkpointer_ = nullptr;  // non-null iff this scope claimed
   std::string kind_;

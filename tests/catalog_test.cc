@@ -11,6 +11,7 @@
 
 #include "qrel/prob/text_format.h"
 #include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -37,15 +38,6 @@ UnreliableDatabase TestDatabase(const char* text = kUdbText) {
   StatusOr<UnreliableDatabase> database = ParseUdb(text);
   EXPECT_TRUE(database.ok()) << database.status().ToString();
   return std::move(database).value();
-}
-
-std::string WriteTempUdb(const std::string& name, const char* text) {
-  std::string path = ::testing::TempDir() + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  std::fputs(text, f);
-  std::fclose(f);
-  return path;
 }
 
 class CatalogTest : public ::testing::Test {
@@ -97,7 +89,7 @@ TEST_F(CatalogTest, AttachResolveListRoundTrip) {
 }
 
 TEST_F(CatalogTest, AttachFromFileRecordsTheSourcePath) {
-  std::string path = WriteTempUdb("qrel_catalog_attach.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_attach.udb", kUdbText);
   DbCatalog catalog;
   ASSERT_TRUE(catalog.Attach("orders", path).ok());
   StatusOr<std::shared_ptr<const DbVersion>> resolved =
@@ -113,7 +105,7 @@ TEST_F(CatalogTest, AttachFromFileRecordsTheSourcePath) {
 }
 
 TEST_F(CatalogTest, ReloadBumpsVersionAndReportsContentChange) {
-  std::string path = WriteTempUdb("qrel_catalog_reload.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_reload.udb", kUdbText);
   DbCatalog catalog;
   ASSERT_TRUE(catalog.Attach("orders", path).ok());
   uint64_t fp1 = catalog.Resolve("orders").value()->fingerprint;
@@ -126,7 +118,7 @@ TEST_F(CatalogTest, ReloadBumpsVersionAndReportsContentChange) {
   EXPECT_EQ(same->new_version->version, 2u);
   EXPECT_EQ(same->new_version->fingerprint, fp1);
 
-  WriteTempUdb("qrel_catalog_reload.udb", kAltUdbText);
+  WriteTestTempFile("qrel_catalog_reload.udb", kAltUdbText);
   StatusOr<ReloadOutcome> changed = catalog.Reload("orders");
   ASSERT_TRUE(changed.ok());
   EXPECT_TRUE(changed->changed);
@@ -137,7 +129,7 @@ TEST_F(CatalogTest, ReloadBumpsVersionAndReportsContentChange) {
 
   // An explicit replacement path is adopted as the new source path.
   std::string alt_path =
-      WriteTempUdb("qrel_catalog_reload_alt.udb", kUdbText);
+      WriteTestTempFile("qrel_catalog_reload_alt.udb", kUdbText);
   StatusOr<ReloadOutcome> moved = catalog.Reload("orders", alt_path);
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(catalog.Resolve("orders").value()->source_path, alt_path);
@@ -149,18 +141,18 @@ TEST_F(CatalogTest, ReloadBumpsVersionAndReportsContentChange) {
 }
 
 TEST_F(CatalogTest, FailedReloadLeavesTheOldVersionUntouched) {
-  std::string path = WriteTempUdb("qrel_catalog_badreload.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_badreload.udb", kUdbText);
   DbCatalog catalog;
   ASSERT_TRUE(catalog.Attach("orders", path).ok());
   std::shared_ptr<const DbVersion> before =
       catalog.Resolve("orders").value();
 
-  WriteTempUdb("qrel_catalog_badreload.udb", "universe banana\n");
+  WriteTestTempFile("qrel_catalog_badreload.udb", "universe banana\n");
   EXPECT_FALSE(catalog.Reload("orders").ok());
   // Same object, not just same content: nothing was swapped.
   EXPECT_EQ(catalog.Resolve("orders").value().get(), before.get());
   // And the entry is reloadable again (the failure released the claim).
-  WriteTempUdb("qrel_catalog_badreload.udb", kAltUdbText);
+  WriteTestTempFile("qrel_catalog_badreload.udb", kAltUdbText);
   EXPECT_TRUE(catalog.Reload("orders").ok());
   std::remove(path.c_str());
 }
@@ -226,7 +218,7 @@ TEST_F(CatalogTest, DetachedVersionOutlivesItsCatalogEntry) {
 // Every reload-path fault site: the typed error surfaces and the serving
 // version is untouched — byte-for-byte the same object.
 TEST_F(CatalogTest, ReloadFaultSitesNeverDisturbTheServingVersion) {
-  std::string path = WriteTempUdb("qrel_catalog_fault.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_fault.udb", kUdbText);
   DbCatalog catalog;
   ASSERT_TRUE(catalog.Attach("orders", path).ok());
   std::shared_ptr<const DbVersion> before =
@@ -251,7 +243,7 @@ TEST_F(CatalogTest, ReloadFaultSitesNeverDisturbTheServingVersion) {
 }
 
 TEST_F(CatalogTest, AttachAndDetachFaultSitesFailTyped) {
-  std::string path = WriteTempUdb("qrel_catalog_fault2.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_fault2.udb", kUdbText);
   DbCatalog catalog;
 
   FaultInjector::Instance().Arm("net.catalog.attach", 1,
@@ -272,7 +264,7 @@ TEST_F(CatalogTest, AttachAndDetachFaultSitesFailTyped) {
 // A failed load during attach of a brand-new name erases the placeholder:
 // the name is immediately reusable.
 TEST_F(CatalogTest, FailedAttachReleasesTheName) {
-  std::string path = WriteTempUdb("qrel_catalog_fault3.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_catalog_fault3.udb", kUdbText);
   DbCatalog catalog;
   FaultInjector::Instance().Arm("net.catalog.load", 1,
                                 StatusCode::kInternal);

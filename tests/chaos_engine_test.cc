@@ -24,6 +24,7 @@
 #include "qrel/propositional/dnf.h"
 #include "qrel/propositional/naive_mc.h"
 #include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -92,13 +93,6 @@ Outcome StatusOutcome(const std::string& label, const Status& status,
   return outcome;
 }
 
-std::string WriteTempFile(const std::string& name, const std::string& text) {
-  std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  return path;
-}
-
 // Representative pass over the whole pipeline: .udb and .mfdb I/O and
 // parsing, every engine rung (quantifier-free, exact enumeration,
 // Cor 5.5 grounding + Karp-Luby, Thm 5.12 padded), the Datalog exact and
@@ -108,7 +102,7 @@ std::string WriteTempFile(const std::string& name, const std::string& text) {
 std::vector<Outcome> RunWorkload() {
   std::vector<Outcome> outcomes;
 
-  std::string udb_path = WriteTempFile("chaos_engine.udb", kUdbText);
+  std::string udb_path = WriteTestTempFile("chaos_engine.udb", kUdbText);
   StatusOr<UnreliableDatabase> database = LoadUdbFile(udb_path);
   outcomes.push_back(
       StatusOutcome("load_udb", database.status(), "ok"));
@@ -116,7 +110,7 @@ std::vector<Outcome> RunWorkload() {
   StatusOr<UnreliableFunctionalDatabase> mfdb = ParseMfdb(kMfdbText);
   outcomes.push_back(StatusOutcome("parse_mfdb", mfdb.status(), "ok"));
 
-  std::string mfdb_path = WriteTempFile("chaos_engine.mfdb", kMfdbText);
+  std::string mfdb_path = WriteTestTempFile("chaos_engine.mfdb", kMfdbText);
   StatusOr<UnreliableFunctionalDatabase> loaded_mfdb =
       LoadMfdbFile(mfdb_path);
   outcomes.push_back(

@@ -32,6 +32,7 @@
 #include "qrel/net/server.h"
 #include "qrel/prob/text_format.h"
 #include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -351,7 +352,7 @@ TEST_F(ChaosServerTest, RetiredConnectionThreadsAreReaped) {
 // Regression: both used to checkpoint into one q<store-key>.snap, with
 // the first finisher deleting the file out from under the other.
 TEST_F(ChaosServerTest, ConcurrentFlightsWithSharedStoreKeyDoNotCollide) {
-  std::string dir = ::testing::TempDir() + "qrel_flight_snap";
+  std::string dir = TestTempPath("qrel_flight_snap");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directories(dir));
 
@@ -410,15 +411,6 @@ fact S 0
 absent S 1 err=1/3
 )";
 
-std::string WriteTempUdb(const std::string& name, const char* text) {
-  std::string path = ::testing::TempDir() + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  std::fputs(text, f);
-  std::fclose(f);
-  return path;
-}
-
 void WaitFor(const std::function<bool()>& predicate, int timeout_ms = 30000) {
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(timeout_ms);
@@ -433,7 +425,7 @@ void WaitFor(const std::function<bool()>& predicate, int timeout_ms = 30000) {
 // fails typed, the already-serving version keeps answering bit-identically,
 // and a clean retry of the same admin verb succeeds.
 TEST_F(ChaosServerTest, EveryCatalogFaultSiteLeavesTheOldVersionServing) {
-  std::string path = WriteTempUdb("qrel_chaos_catalog.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_chaos_catalog.udb", kUdbText);
   QrelServer server(TestEngine(), ServerOptions{});
   ASSERT_TRUE(server.ServeInBackground(0).ok());
   QrelClient client;
@@ -518,7 +510,7 @@ TEST_F(ChaosServerTest, EveryCatalogFaultSiteLeavesTheOldVersionServing) {
 // response's db_fingerprint maps to exactly one exact_value, and only the
 // two legitimate values ever appear.
 TEST_F(ChaosServerTest, ConcurrentReloadPinsEveryAnswerToItsVersion) {
-  std::string path = WriteTempUdb("qrel_chaos_churn.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_chaos_churn.udb", kUdbText);
   QrelServer server(TestEngine(), ServerOptions{});
   ASSERT_TRUE(server.ServeInBackground(0).ok());
   {
@@ -571,7 +563,7 @@ TEST_F(ChaosServerTest, ConcurrentReloadPinsEveryAnswerToItsVersion) {
     QrelClient admin;
     ASSERT_TRUE(admin.Connect(server.port(), 30000).ok());
     for (int round = 0; round < 10; ++round) {
-      WriteTempUdb("qrel_chaos_churn.udb",
+      WriteTestTempFile("qrel_chaos_churn.udb",
                    (round % 2 == 0) ? kAltUdbText : kUdbText);
       StatusOr<Response> reloaded = admin.Reload("churn");
       ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
@@ -606,7 +598,7 @@ TEST_F(ChaosServerTest, DetachDrainsInFlightWorkLikeSigterm) {
   options.max_request_work = uint64_t{1} << 27;
   options.work_quota = uint64_t{1} << 30;
   options.drain_grace_ms = 20;
-  std::string path = WriteTempUdb("qrel_chaos_detach.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_chaos_detach.udb", kUdbText);
   QrelServer server(TestEngine(), options);
   ASSERT_TRUE(server.ServeInBackground(0).ok());
   QrelClient admin;

@@ -23,6 +23,7 @@
 #include "qrel/prob/text_format.h"
 #include "qrel/util/run_context.h"
 #include "qrel/util/snapshot.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -52,15 +53,6 @@ UnreliableDatabase TestDatabase() {
   StatusOr<UnreliableDatabase> database = ParseUdb(kUdbText);
   EXPECT_TRUE(database.ok()) << database.status().ToString();
   return std::move(database).value();
-}
-
-std::string WriteTempUdb(const std::string& name, const char* text) {
-  std::string path = ::testing::TempDir() + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  std::fputs(text, f);
-  std::fclose(f);
-  return path;
 }
 
 Request QueryRequest(const std::string& query, const std::string& db = "") {
@@ -121,7 +113,7 @@ TEST(ConcurrencyStressTest, SixteenThreadsOneServer) {
 
   // Claim election target shared by the claim threads.
   Checkpointer checkpointer(
-      ::testing::TempDir() + "qrel_stress_claim.snap",
+      TestTempPath("qrel_stress_claim.snap"),
       std::chrono::milliseconds(1 << 30));  // interval: never auto-writes
   std::atomic<int> active_scopes{0};
   std::atomic<int> max_active_scopes{0};
@@ -147,12 +139,12 @@ TEST(ConcurrencyStressTest, SixteenThreadsOneServer) {
       std::string text_b = std::string(kAltUdbText) + "fact E " + self + " " +
                            self + " err=1/" + std::to_string(17 + t) + "\n";
       for (int i = 0; i < kIterations; ++i) {
-        std::string path = WriteTempUdb(
+        std::string path = WriteTestTempFile(
             file, ((i % 2 == 0) ? text_a : text_b).c_str());
         Response attached =
             server.Handle(AdminRequest(RequestVerb::kAttach, db, path));
         check(AcceptableChurnOutcome(attached), "attach", attached);
-        WriteTempUdb(file, ((i % 2 == 0) ? text_b : text_a).c_str());
+        WriteTestTempFile(file, ((i % 2 == 0) ? text_b : text_a).c_str());
         Response reloaded =
             server.Handle(AdminRequest(RequestVerb::kReload, db));
         check(AcceptableChurnOutcome(reloaded), "reload", reloaded);

@@ -29,6 +29,7 @@
 #include "qrel/net/client.h"
 #include "qrel/net/manifest.h"
 #include "qrel/util/status.h"
+#include "temp_path.h"
 
 #ifndef QREL_SERVER_BINARY
 #error "QREL_SERVER_BINARY must point at the qrel_server executable"
@@ -174,9 +175,7 @@ class ServerProcess {
 class CrashRestartTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/crash_restart_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestTempPath("crash_restart");
     ::mkdir(dir_.c_str(), 0755);
     udb_path_ = dir_ + "/data.udb";
     std::ofstream(udb_path_) << kUdbText;

@@ -346,6 +346,23 @@ TEST(EngineDatalogTest, ErrorsPropagate) {
       engine.RunDatalog("P(x) :- Zap(x).", "P").ok());
 }
 
+TEST(EngineTest, EverySamplingRungRejectsZeroFixedSamplesAlike) {
+  ReliabilityEngine engine = MakeEngine();
+  EngineOptions options;
+  options.force_approximate = true;
+  options.fixed_samples = 0;
+  const StatusOr<EngineReport> runs[] = {
+      engine.Run("exists x y . E(x,y) & S(y)", options),         // Cor 5.5
+      engine.Run("forall x . exists y . E(x,y) | S(x)", options),  // Thm 5.12
+      engine.RunDatalog(kTcProgram, "Path", options),              // Datalog
+  };
+  for (const StatusOr<EngineReport>& run : runs) {
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(run.status().message(), "fixed_samples must be positive");
+  }
+}
+
 TEST(EngineAnalysisTest, AnalysisErrorsFailBeforeAnyBudgetCharge) {
   ReliabilityEngine engine = MakeEngine();
   RunContext ctx = RunContext::WithWorkBudget(1000);

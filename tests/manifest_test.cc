@@ -5,6 +5,7 @@
 // name ordering, version >= 1, bounded entry count, key validity).
 
 #include "qrel/net/manifest.h"
+#include "temp_path.h"
 
 #include <cstdio>
 #include <string>
@@ -172,7 +173,7 @@ TEST(ManifestCorruptionTest, EveryFlippedByteIsDetected) {
 // --- File helpers ----------------------------------------------------------
 
 TEST(ManifestFileTest, WriteReadRoundTripAndFreshIsNotFound) {
-  std::string path = ::testing::TempDir() + "/manifest_test.manifest";
+  std::string path = TestTempPath("manifest_test.manifest");
   StatusOr<CatalogManifest> fresh = ReadManifestFile(path + ".absent");
   ASSERT_FALSE(fresh.ok());
   EXPECT_EQ(fresh.status().code(), StatusCode::kNotFound);
@@ -228,7 +229,7 @@ TEST(IdempotencyTest, KeyGrammarMatchesCatalogNames) {
 }
 
 TEST(IdempotencyTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/idem_test.idem";
+  std::string path = TestTempPath("idem_test.idem");
   IdempotencyRecord record = SampleRecord();
   ASSERT_TRUE(WriteIdempotencyFile(path, record).ok());
   StatusOr<IdempotencyRecord> loaded = ReadIdempotencyFile(path);

@@ -25,6 +25,7 @@
 #include "qrel/propositional/naive_mc.h"
 #include "qrel/util/fault_injection.h"
 #include "qrel/util/snapshot.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -51,7 +52,7 @@ UnreliableDatabase MakeDatabase() {
 }
 
 std::string SnapshotPath(const std::string& name) {
-  std::string path = ::testing::TempDir() + "/" + name;
+  std::string path = TestTempPath(name);
   std::remove(path.c_str());  // no stale state from an earlier test run
   return path;
 }

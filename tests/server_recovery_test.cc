@@ -25,6 +25,7 @@
 #include "qrel/prob/text_format.h"
 #include "qrel/util/fault_injection.h"
 #include "qrel/util/vfs.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -90,9 +91,7 @@ class KeepJournalVfs : public Vfs {
 class ServerRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/recovery_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestTempPath("recovery");
     ::mkdir(dir_.c_str(), 0755);
   }
 

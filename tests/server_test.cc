@@ -19,6 +19,7 @@
 
 #include "qrel/net/protocol.h"
 #include "qrel/prob/text_format.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -201,6 +202,26 @@ TEST(ServerTest, ExplainReportsAdmissionWithoutExecuting) {
   ServerStatsSnapshot stats = server.stats_snapshot();
   EXPECT_EQ(stats.explains, 2u);
   EXPECT_EQ(stats.completed_ok + stats.completed_error, 0u);
+}
+
+TEST(ServerTest, ZeroFixedSamplesIsATypedErrorAndNothingIsCached) {
+  QrelServer server(TestEngine(), ServerOptions{});
+  // The Thm 5.12 padded rung used to answer this with R=-nan, 0 samples.
+  const std::string payload =
+      "QUERY\nforall x . exists y . E(x,y) | S(x)\nforce_approx=1\n"
+      "fixed_samples=0";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    StatusOr<Response> response = ParseResponse(server.HandlePayload(payload));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(response->status.message().find("fixed_samples must be positive"),
+              std::string::npos)
+        << response->status.ToString();
+  }
+  StatusOr<Response> stats = ParseResponse(server.HandlePayload("STATS"));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->Field("cache_entries").value_or(""), "0");
+  EXPECT_EQ(stats->Field("cache_hits").value_or(""), "0");
 }
 
 TEST(ServerTest, CacheReplaysIdenticalQueriesAndKeysOnOptions) {
@@ -400,7 +421,7 @@ TEST(ServerTest, DrainShedsNewWorkAndCancelsStragglers) {
 // fresh server answering the identical request resumes from it and
 // produces the same answer an uninterrupted server produces.
 TEST(ServerTest, DrainCheckpointAbortsAndAFreshServerResumes) {
-  std::string dir = ::testing::TempDir() + "qrel_server_ckpt";
+  std::string dir = TestTempPath("qrel_server_ckpt");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directories(dir));
 
@@ -457,7 +478,7 @@ TEST(ServerTest, DrainCheckpointAbortsAndAFreshServerResumes) {
 // A corrupt leftover snapshot must not make the query permanently
 // unanswerable: the server deletes it, counts it, and runs fresh.
 TEST(ServerTest, CorruptLeftoverCheckpointIsDeletedNotFatal) {
-  std::string dir = ::testing::TempDir() + "qrel_server_ckpt_corrupt";
+  std::string dir = TestTempPath("qrel_server_ckpt_corrupt");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directories(dir));
 
@@ -582,15 +603,6 @@ UnreliableDatabase AltDatabase() {
   return std::move(database).value();
 }
 
-std::string WriteTempUdb(const std::string& name, const char* text) {
-  std::string path = ::testing::TempDir() + name;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  std::fputs(text, f);
-  std::fclose(f);
-  return path;
-}
-
 Request AdminRequest(RequestVerb verb, const std::string& target,
                      const std::string& path = "") {
   Request request;
@@ -665,7 +677,7 @@ TEST(ServerCatalogTest, EmptyCatalogIsNotReady) {
 }
 
 TEST(ServerCatalogTest, AdminVerbsDriveTheFullLifecycle) {
-  std::string path = WriteTempUdb("qrel_admin_lifecycle.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_admin_lifecycle.udb", kUdbText);
   QrelServer server(TestEngine(), ServerOptions{});
 
   // ATTACH a second database from disk.
@@ -693,7 +705,7 @@ TEST(ServerCatalogTest, AdminVerbsDriveTheFullLifecycle) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.Field("exact_value").value_or(""), "3/5");
 
-  WriteTempUdb("qrel_admin_lifecycle.udb", kAltUdbText);
+  WriteTestTempFile("qrel_admin_lifecycle.udb", kAltUdbText);
   Response reloaded =
       server.Handle(AdminRequest(RequestVerb::kReload, "spare"));
   ASSERT_TRUE(reloaded.ok()) << reloaded.status.ToString();
@@ -733,7 +745,7 @@ TEST(ServerCatalogTest, AdminVerbsDriveTheFullLifecycle) {
 }
 
 TEST(ServerCatalogTest, FailedReloadLeavesTheOldVersionServing) {
-  std::string path = WriteTempUdb("qrel_failed_reload.udb", kUdbText);
+  std::string path = WriteTestTempFile("qrel_failed_reload.udb", kUdbText);
   QrelServer server(TestEngine(), ServerOptions{});
   ASSERT_TRUE(
       server.Handle(AdminRequest(RequestVerb::kAttach, "spare", path)).ok());
@@ -744,7 +756,7 @@ TEST(ServerCatalogTest, FailedReloadLeavesTheOldVersionServing) {
 
   // Poison the file, then reload: the reload fails typed and the old
   // version keeps serving, version and answer unchanged.
-  WriteTempUdb("qrel_failed_reload.udb", "universe banana\n");
+  WriteTestTempFile("qrel_failed_reload.udb", "universe banana\n");
   Response failed = server.Handle(AdminRequest(RequestVerb::kReload, "spare"));
   EXPECT_FALSE(failed.ok());
 

@@ -13,13 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::vector<uint8_t> ReadAllBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -112,13 +109,13 @@ TEST(SnapshotFormatTest, EncodingIsCanonical) {
 
 TEST(SnapshotFormatTest, MissingFileIsNotFound) {
   StatusOr<SnapshotData> loaded =
-      ReadSnapshotFile(TempPath("does_not_exist.snapshot"));
+      ReadSnapshotFile(TestTempPath("does_not_exist.snapshot"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SnapshotFormatTest, FileRoundTrip) {
-  std::string path = TempPath("roundtrip.snapshot");
+  std::string path = TestTempPath("roundtrip.snapshot");
   SnapshotData data = MakeSample();
   ASSERT_TRUE(WriteSnapshotFile(path, data).ok());
   StatusOr<SnapshotData> loaded = ReadSnapshotFile(path);
@@ -189,7 +186,7 @@ TEST(SnapshotCorruptionTest, StaleVersionIsInvalidArgument) {
 }
 
 TEST(SnapshotCorruptionTest, TruncatedFileOnDiskIsDataLoss) {
-  std::string path = TempPath("truncated.snapshot");
+  std::string path = TestTempPath("truncated.snapshot");
   std::vector<uint8_t> bytes = EncodeSnapshot(MakeSample());
   bytes.resize(bytes.size() / 2);
   WriteAllBytes(path, bytes);
@@ -247,7 +244,7 @@ TEST(SnapshotCorruptionTest, PayloadReadersRejectOverrunLengths) {
 
 TEST(SnapshotAtomicityTest, FailedWriteLeavesPreviousSnapshotIntact) {
   FaultInjector::Instance().Reset();
-  std::string path = TempPath("atomic.snapshot");
+  std::string path = TestTempPath("atomic.snapshot");
   SnapshotData first = MakeSample();
   ASSERT_TRUE(WriteSnapshotFile(path, first).ok());
 
@@ -268,7 +265,7 @@ TEST(SnapshotAtomicityTest, TempNameDoesNotClobberOtherWriters) {
   // The temp name is pid-unique, so another writer's in-progress
   // "<path>.tmp*" file (here: a sentinel under the legacy fixed name)
   // survives a concurrent WriteSnapshotFile to the same path.
-  std::string path = TempPath("shared.snapshot");
+  std::string path = TestTempPath("shared.snapshot");
   std::string other_temp = path + ".tmp";
   std::vector<uint8_t> sentinel = {'o', 't', 'h', 'e', 'r'};
   WriteAllBytes(other_temp, sentinel);
@@ -287,7 +284,7 @@ TEST(CheckpointerTest, WouldClaimTracksAttachmentAndClaims) {
   RunContext bare;
   EXPECT_FALSE(CheckpointScope::WouldClaim(&bare));
 
-  std::string path = TempPath("would_claim.snapshot");
+  std::string path = TestTempPath("would_claim.snapshot");
   Checkpointer checkpointer(path, std::chrono::milliseconds(0));
   RunContext ctx;
   ctx.SetCheckpointer(&checkpointer);
@@ -302,7 +299,7 @@ TEST(CheckpointerTest, WouldClaimTracksAttachmentAndClaims) {
 }
 
 TEST(CheckpointerTest, ScopeClaimingMakesNestedScopesInert) {
-  std::string path = TempPath("claim.snapshot");
+  std::string path = TestTempPath("claim.snapshot");
   Checkpointer checkpointer(path, std::chrono::milliseconds(0));
   RunContext ctx;
   ctx.SetCheckpointer(&checkpointer);
@@ -325,7 +322,7 @@ TEST(CheckpointerTest, ScopeClaimingMakesNestedScopesInert) {
 }
 
 TEST(CheckpointerTest, ResumeRequiresMatchingFingerprint) {
-  std::string path = TempPath("fingerprint.snapshot");
+  std::string path = TestTempPath("fingerprint.snapshot");
   {
     Checkpointer checkpointer(path, std::chrono::milliseconds(0));
     RunContext ctx;
@@ -377,7 +374,7 @@ TEST(CheckpointerTest, ResumeRequiresMatchingFingerprint) {
 }
 
 TEST(CheckpointerTest, CorruptSnapshotFailsLoadForResume) {
-  std::string path = TempPath("corrupt_resume.snapshot");
+  std::string path = TestTempPath("corrupt_resume.snapshot");
   SnapshotData data = MakeSample();
   ASSERT_TRUE(WriteSnapshotFile(path, data).ok());
   std::vector<uint8_t> bytes = ReadAllBytes(path);
@@ -393,14 +390,14 @@ TEST(CheckpointerTest, CorruptSnapshotFailsLoadForResume) {
 }
 
 TEST(CheckpointerTest, MissingSnapshotMeansFreshRun) {
-  Checkpointer checkpointer(TempPath("fresh.snapshot"),
+  Checkpointer checkpointer(TestTempPath("fresh.snapshot"),
                             std::chrono::milliseconds(0));
   ASSERT_TRUE(checkpointer.LoadForResume().ok());
   EXPECT_FALSE(checkpointer.has_resume());
 }
 
 TEST(CheckpointerTest, WorkSpentIsRestoredOntoContext) {
-  std::string path = TempPath("workspent.snapshot");
+  std::string path = TestTempPath("workspent.snapshot");
   {
     Checkpointer checkpointer(path, std::chrono::milliseconds(0));
     RunContext ctx;
@@ -431,7 +428,7 @@ TEST(CheckpointerTest, WorkSpentIsRestoredOntoContext) {
 // so this is the last safe point to persist progress. Both the qrel_cli
 // SIGINT flush and the server's drain checkpoint-abort rely on this.
 TEST(CheckpointerTest, PendingCancellationForcesAFlushInsideTheInterval) {
-  std::string path = TempPath("trip_cancel.snapshot");
+  std::string path = TestTempPath("trip_cancel.snapshot");
   Checkpointer checkpointer(path, std::chrono::hours(24));
   RunContext ctx;
   ctx.SetCheckpointer(&checkpointer);
@@ -451,7 +448,7 @@ TEST(CheckpointerTest, PendingCancellationForcesAFlushInsideTheInterval) {
 }
 
 TEST(CheckpointerTest, ExhaustedWorkBudgetForcesAFlushInsideTheInterval) {
-  std::string path = TempPath("trip_budget.snapshot");
+  std::string path = TestTempPath("trip_budget.snapshot");
   Checkpointer checkpointer(path, std::chrono::hours(24));
   RunContext ctx;
   ctx.SetWorkBudget(10);

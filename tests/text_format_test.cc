@@ -218,12 +218,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TextFormatRoundTripTest,
 #include <fstream>
 
 #include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
 
 TEST(LoadUdbFileTest, MissingFileIsNotFoundWithPath) {
-  std::string path = ::testing::TempDir() + "/definitely_missing.udb";
+  std::string path = TestTempPath("definitely_missing.udb");
   StatusOr<UnreliableDatabase> db = LoadUdbFile(path);
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kNotFound);
@@ -231,7 +232,7 @@ TEST(LoadUdbFileTest, MissingFileIsNotFoundWithPath) {
 }
 
 TEST(LoadUdbFileTest, LoadsAValidFile) {
-  std::string path = ::testing::TempDir() + "/load_udb_ok.udb";
+  std::string path = TestTempPath("load_udb_ok.udb");
   std::ofstream(path, std::ios::trunc) << kSample;
   StatusOr<UnreliableDatabase> db = LoadUdbFile(path);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -241,7 +242,7 @@ TEST(LoadUdbFileTest, LoadsAValidFile) {
 TEST(LoadUdbFileTest, ReadErrorIsNotConfusedWithNotFound) {
   // The deterministic fault site stands in for a mid-read I/O failure —
   // the status must be a non-kNotFound error naming the path.
-  std::string path = ::testing::TempDir() + "/load_udb_read_fault.udb";
+  std::string path = TestTempPath("load_udb_read_fault.udb");
   std::ofstream(path, std::ios::trunc) << kSample;
   FaultInjector::Instance().Reset();
   FaultInjector::Instance().Arm("prob.load_udb.read", 1,

@@ -17,6 +17,7 @@
 
 #include "qrel/util/fault_injection.h"
 #include "qrel/util/snapshot.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -25,9 +26,7 @@ class VfsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::Instance().Reset();
-    dir_ = ::testing::TempDir() + "/vfs_test_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestTempPath("vfs_test");
     ::mkdir(dir_.c_str(), 0755);
   }
 
