@@ -39,6 +39,14 @@ class ArityTable {
     arity_.emplace(name, arity);
   }
 
+  std::optional<int> Find(const std::string& name) const {
+    auto it = arity_.find(name);
+    if (it == arity_.end()) {
+      return std::nullopt;
+    }
+    return it->second;
+  }
+
  private:
   std::map<std::string, int> arity_;
   std::vector<Diagnostic>* diagnostics_;
@@ -237,6 +245,13 @@ DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
   CheckStratification(program, idb, diagnostics);
 
   if (!query_predicate.empty()) {
+    if (vocabulary != nullptr && !Contains(idb, query_predicate) &&
+        !vocabulary->FindRelation(query_predicate).has_value()) {
+      diagnostics->push_back(MakeError(
+          "unknown-predicate",
+          "unknown query predicate '" + query_predicate + "'"));
+    }
+    analysis.query_arity = arities.Find(query_predicate);
     CheckReachability(program, idb, query_predicate, diagnostics);
   }
   return analysis;

@@ -7,7 +7,9 @@
 //
 // Checks (stable ids — see DESIGN.md "Static analysis and plan
 // explanation"):
-//   error   unknown-predicate      body EDB predicate not in the vocabulary
+//   error   unknown-predicate      body EDB predicate not in the
+//                                  vocabulary, or a query predicate that
+//                                  is neither a rule head nor in it
 //   error   arity-mismatch         EDB/IDB predicate used at two arities
 //   error   idb-edb-clash          predicate is both a rule head and EDB
 //   error   unbound-head-variable  head variable not positively bound
@@ -20,6 +22,7 @@
 #ifndef QREL_DATALOG_ANALYZE_H_
 #define QREL_DATALOG_ANALYZE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,9 @@ namespace qrel {
 
 struct DatalogAnalysis {
   std::vector<Diagnostic> diagnostics;
+  // Arity of the query predicate, when one was given and it is a rule
+  // head, a body literal or a vocabulary relation.
+  std::optional<int> query_arity;
 
   bool has_errors() const { return HasErrors(diagnostics); }
 };
@@ -38,8 +44,10 @@ struct DatalogAnalysis {
 // Analyzes `program` against the extensional vocabulary. `vocabulary` is
 // nullable; without it the EDB checks (unknown-predicate, arity-mismatch
 // against the vocabulary, idb-edb-clash) are skipped. `query_predicate`,
-// when non-empty, additionally flags rules whose head predicate cannot
-// reach it through the dependency graph (note unreachable-predicate).
+// when non-empty, is additionally checked to name a rule head or a
+// vocabulary relation (error unknown-predicate), its arity is reported,
+// and rules whose head predicate cannot reach it through the dependency
+// graph are flagged (note unreachable-predicate).
 DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
                                       const Vocabulary* vocabulary,
                                       const std::string& query_predicate = "");

@@ -1,6 +1,7 @@
 #include "qrel/engine/engine.h"
 
 #include <cmath>
+#include <functional>
 #include <new>
 #include <utility>
 
@@ -40,51 +41,175 @@ bool ExactFeasible(size_t uncertain, const EngineOptions& options) {
          (uint64_t{1} << uncertain) <= options.max_exact_worlds;
 }
 
-std::string StaticClosedFormMethod(StaticTruth truth) {
-  return std::string("static analysis closed form (query simplifies to ") +
-         (truth == StaticTruth::kTautology ? "true" : "false") + ")";
+// The randomized rung for a class. core/approx.cc covers every class
+// below general first-order with Cor 5.5, taking the dual (negation)
+// branch exactly when the class is universal.
+Rung SamplingRung(QueryClass query_class) {
+  return query_class == QueryClass::kGeneralFirstOrder ? Rung::kPadded
+                                                       : Rung::kCor55;
 }
 
 // The single rung-selection function, shared between Explain (which
-// reports its result as the plan) and RunImpl (which executes it). Every
-// string returned here is a prefix of the EngineReport::method the
-// corresponding rung writes.
-std::string PlannedMethod(QueryClass effective_class, StaticTruth truth,
-                          size_t uncertain, const EngineOptions& options) {
-  if (truth != StaticTruth::kUnknown) {
-    return StaticClosedFormMethod(truth);
+// reports its result as the plan) and both Run front ends (which execute
+// it). Datalog plans as general first-order.
+Rung PlanRung(QueryClass query_class, StaticTruth static_truth,
+              size_t uncertain, const EngineOptions& options) {
+  if (static_truth != StaticTruth::kUnknown) {
+    return Rung::kStaticClosedForm;
   }
-  if (effective_class == QueryClass::kQuantifierFree &&
-      !options.force_approximate) {
-    return "Prop 3.1 quantifier-free polynomial algorithm";
+  if (!options.force_approximate) {
+    if (query_class == QueryClass::kQuantifierFree) {
+      return Rung::kQuantifierFree;
+    }
+    // Like the quantifier-free rung, the extensional rung is exact, so it
+    // wins over Thm 4.2 even under force_exact.
+    if (query_class == QueryClass::kSafeConjunctive) {
+      return Rung::kExtensional;
+    }
+    if (ExactFeasible(uncertain, options) || options.force_exact) {
+      return Rung::kExactWorlds;
+    }
   }
-  // Like the quantifier-free rung, the extensional rung is exact, so it
-  // wins over Thm 4.2 even under force_exact.
-  if (effective_class == QueryClass::kSafeConjunctive &&
-      !options.force_approximate) {
-    return "safe-plan extensional evaluation";
-  }
-  if ((ExactFeasible(uncertain, options) || options.force_exact) &&
-      !options.force_approximate) {
-    return "Thm 4.2 exact world enumeration";
-  }
-  if (effective_class != QueryClass::kGeneralFirstOrder) {
-    // core/approx.cc takes the dual (negation) branch exactly when the
-    // query is not existential, i.e. when its class is universal.
-    return effective_class == QueryClass::kUniversal
-               ? "Cor 5.5 (universal via FPTRAS on negation)"
-               : "Cor 5.5 (existential via Thm 5.4 FPTRAS)";
-  }
-  return "Thm 5.12 padded estimator";
+  return SamplingRung(query_class);
 }
 
-std::string PlannedDatalogMethod(size_t uncertain,
-                                 const EngineOptions& options) {
-  if ((ExactFeasible(uncertain, options) || options.force_exact) &&
-      !options.force_approximate) {
-    return "Thm 4.2 exact world enumeration over Datalog";
+// The planned-method string of a rung: a prefix of the
+// EngineReport::method the rung writes.
+std::string RungMethod(Rung rung, QueryClass query_class,
+                       StaticTruth static_truth, bool datalog) {
+  switch (rung) {
+    case Rung::kStaticClosedForm:
+      return std::string("static analysis closed form (query simplifies to ") +
+             (static_truth == StaticTruth::kTautology ? "true" : "false") +
+             ")";
+    case Rung::kQuantifierFree:
+      return "Prop 3.1 quantifier-free polynomial algorithm";
+    case Rung::kExtensional:
+      return "safe-plan extensional evaluation";
+    case Rung::kExactWorlds:
+      return datalog ? "Thm 4.2 exact world enumeration over Datalog"
+                     : "Thm 4.2 exact world enumeration";
+    case Rung::kCor55:
+      return query_class == QueryClass::kUniversal
+                 ? "Cor 5.5 (universal via FPTRAS on negation)"
+                 : "Cor 5.5 (existential via Thm 5.4 FPTRAS)";
+    case Rung::kPadded:
+      return datalog ? "Thm 5.12 padded estimator on Datalog predicate"
+                     : "Thm 5.12 padded estimator";
   }
-  return "Thm 5.12 padded estimator on Datalog predicate";
+  QREL_CHECK_MSG(false, "corrupt rung");
+  return "";
+}
+
+using ExactRungFn = std::function<StatusOr<ReliabilityReport>()>;
+using SamplingRungFn =
+    std::function<StatusOr<ApproxResult>(const ApproxOptions&)>;
+
+// The degradation ladder both front ends share. `report` arrives with the
+// front end's fields (query class, observed answers) and leaves complete.
+// `exact` runs the planned exact rung, `sample` the class's randomized
+// rung and `reserve` the last-resort padded run, the latter two under the
+// given options. Each holds its own fault site, and an injected fault is
+// handled exactly like the rung failing on its own: degrade on budget
+// codes, propagate the rest. `answer_space` is n^k, for the expected
+// error of an estimate.
+StatusOr<EngineReport> RunLadder(Rung rung, const std::string& planned_method,
+                                 double answer_space,
+                                 const EngineOptions& options,
+                                 EngineReport report, const ExactRungFn& exact,
+                                 const SamplingRungFn& sample,
+                                 const SamplingRungFn& reserve) {
+  RunContext* ctx = options.run_context;
+  // Why the planned rung was abandoned mid-run; OK while no rung tripped.
+  Status degrade_trigger = Status::Ok();
+  if (rung < Rung::kCor55) {
+    StatusOr<ReliabilityReport> result = exact();
+    if (result.ok()) {
+      report.method = planned_method;
+      if (rung == Rung::kExtensional) {
+        report.method +=
+            " (" + std::to_string(result->work_units) + " plan ops)";
+      } else if (rung == Rung::kExactWorlds) {
+        report.method += " (" + std::to_string(result->work_units) + " worlds)";
+      }
+      report.is_exact = true;
+      report.exact_reliability = result->reliability;
+      report.reliability = result->reliability.ToDouble();
+      report.expected_error = result->expected_error.ToDouble();
+      report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
+      return report;
+    }
+    if (!ShouldDegrade(result.status(), options)) {
+      return result.status();
+    }
+    degrade_trigger = result.status();
+  }
+
+  // The randomized rung runs under whatever envelope remains; it may
+  // truncate rather than fail (see ApproxOptions::allow_truncation).
+  ApproxOptions approx;
+  approx.epsilon = options.epsilon;
+  approx.delta = options.delta;
+  approx.seed = options.seed;
+  approx.fixed_samples = options.fixed_samples;
+  approx.run_context = ctx;
+  approx.allow_truncation = options.degrade_on_budget;
+
+  std::optional<ApproxResult> estimate;
+  bool used_reserve = false;
+  Status entry = CheckRunContext(ctx);
+  if (entry.ok()) {
+    StatusOr<ApproxResult> attempt = sample(approx);
+    if (attempt.ok()) {
+      estimate = std::move(attempt).value();
+    } else if (ShouldDegrade(attempt.status(), options)) {
+      degrade_trigger = attempt.status();
+    } else {
+      return attempt.status();
+    }
+  } else if (degrade_trigger.ok()) {
+    if (!ShouldDegrade(entry, options)) {
+      return entry;
+    }
+    degrade_trigger = entry;
+  }
+
+  // Only a degradable trip gets here, so degrade_on_budget is set.
+  if (!estimate.has_value()) {
+    if (ctx != nullptr && ctx->cancellation_requested()) {
+      return Status::Cancelled("run cancelled before the reserve rung");
+    }
+    // Last resort: a fixed reserve-sample padded run. It runs ungoverned —
+    // its cost is bounded by construction — so a degraded run still ends
+    // with an estimate instead of an error.
+    ApproxOptions fallback = approx;
+    fallback.run_context = nullptr;
+    fallback.allow_truncation = false;
+    fallback.fixed_samples = options.reserve_samples;
+    StatusOr<ApproxResult> attempt = reserve(fallback);
+    if (!attempt.ok()) {
+      return attempt.status();
+    }
+    estimate = std::move(attempt).value();
+    used_reserve = true;
+  }
+
+  report.method = estimate->method;
+  report.is_exact = false;
+  report.reliability = estimate->estimate;
+  report.expected_error = (1.0 - estimate->estimate) * answer_space;
+  report.samples = estimate->samples;
+  report.partial = estimate->truncated || used_reserve;
+  report.achieved_epsilon = estimate->achieved_epsilon;
+  if (report.achieved_epsilon.has_value()) {
+    report.achieved_delta = options.delta;
+  }
+  if (!degrade_trigger.ok()) {
+    report.degraded = true;
+    report.degradation_reason = DegradationReason(degrade_trigger);
+  }
+  report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
+  return report;
 }
 
 }  // namespace
@@ -145,8 +270,10 @@ EnginePlan ReliabilityEngine::Explain(const FormulaPtr& query,
     QueryClass dispatch_class = analysis.arity_preserved
                                     ? analysis.effective_class
                                     : analysis.original_class;
-    plan.planned_method = PlannedMethod(dispatch_class, analysis.static_truth,
-                                        uncertain, options);
+    plan.rung =
+        PlanRung(dispatch_class, analysis.static_truth, uncertain, options);
+    plan.planned_method = RungMethod(plan.rung, dispatch_class,
+                                     analysis.static_truth, false);
   }
   return plan;
 }
@@ -178,39 +305,17 @@ EnginePlan ReliabilityEngine::ExplainDatalog(
   plan.cost.uncertain_atoms = uncertain;
   plan.cost.world_count =
       std::pow(2.0, static_cast<double>(uncertain));
-  // Arity of the query predicate, when it can be resolved statically: a
-  // rule head, a body literal, or an extensional relation.
-  std::optional<int> arity;
-  for (const DatalogRule& rule : program.rules) {
-    if (rule.head.relation == predicate) {
-      arity = static_cast<int>(rule.head.args.size());
-      break;
-    }
-    for (const DatalogLiteral& literal : rule.body) {
-      if (literal.atom.relation == predicate) {
-        arity = static_cast<int>(literal.atom.args.size());
-        break;
-      }
-    }
-    if (arity.has_value()) {
-      break;
-    }
-  }
-  if (!arity.has_value()) {
-    std::optional<int> relation =
-        database_.vocabulary().FindRelation(predicate);
-    if (relation.has_value()) {
-      arity = database_.vocabulary().relation(*relation).arity;
-    }
-  }
-  if (arity.has_value()) {
-    plan.cost.arity = *arity;
+  if (analysis.query_arity.has_value()) {
+    plan.cost.arity = *analysis.query_arity;
     plan.cost.answer_space =
         std::pow(static_cast<double>(plan.cost.universe_size),
-                 static_cast<double>(*arity));
+                 static_cast<double>(*analysis.query_arity));
   }
   if (!plan.has_errors()) {
-    plan.planned_method = PlannedDatalogMethod(uncertain, options);
+    plan.rung = PlanRung(QueryClass::kGeneralFirstOrder, StaticTruth::kUnknown,
+                         uncertain, options);
+    plan.planned_method = RungMethod(plan.rung, QueryClass::kGeneralFirstOrder,
+                                     StaticTruth::kUnknown, true);
   }
   return plan;
 }
@@ -261,177 +366,47 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
     }
   }
 
-  // 0. Statically decided: the answer set is the same in every world
-  // (everything for a tautology, nothing for an unsatisfiable query), so
-  // the reliability is exactly 1 with no worlds enumerated and no samples
-  // drawn.
-  if (analysis.static_truth != StaticTruth::kUnknown) {
-    report.method = StaticClosedFormMethod(analysis.static_truth);
-    report.is_exact = true;
-    report.exact_reliability = Rational::One();
-    report.reliability = 1.0;
-    report.expected_error = 0.0;
-    report.samples = 0;
-    report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
-    return report;
-  }
-
-  size_t uncertain = database_.UncertainEntries().size();
-  bool exact_feasible = ExactFeasible(uncertain, options);
-
-  auto fill_exact = [&](const ReliabilityReport& exact,
-                        const std::string& method) {
-    report.method = method;
-    report.is_exact = true;
-    report.exact_reliability = exact.reliability;
-    report.reliability = exact.reliability.ToDouble();
-    report.expected_error = exact.expected_error.ToDouble();
-    report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
+  Rung rung = PlanRung(report.query_class, analysis.static_truth,
+                       database_.UncertainEntries().size(), options);
+  Rung sampling = SamplingRung(report.query_class);
+  auto exact = [&]() -> StatusOr<ReliabilityReport> {
+    switch (rung) {
+      case Rung::kStaticClosedForm: {
+        // The answer set is the same in every world (everything for a
+        // tautology, nothing for an unsatisfiable query), so R = 1 with no
+        // worlds enumerated and no samples drawn.
+        ReliabilityReport closed_form;
+        closed_form.reliability = Rational::One();
+        return closed_form;
+      }
+      case Rung::kQuantifierFree:
+        QREL_FAULT_SITE("engine.rung.quantifier_free");
+        return QuantifierFreeReliability(effective, database_, ctx);
+      case Rung::kExtensional:
+        // Exact lifted evaluation of the safe plan against the tuple
+        // marginals (logic/safe_plan.h, lifted/extensional.h).
+        QREL_FAULT_SITE("engine.rung.extensional");
+        return ExtensionalReliability(effective, database_, ctx);
+      default:
+        QREL_FAULT_SITE("engine.exact.enumerate");
+        return ExactReliability(effective, database_, ctx);
+    }
   };
-
-  // Why the exact path was abandoned mid-run; OK while no rung tripped.
-  Status degrade_trigger = Status::Ok();
-
-  // 1. Quantifier-free: always polynomial, always exact (Prop. 3.1).
-  if (report.query_class == QueryClass::kQuantifierFree &&
-      !options.force_approximate) {
-    // An injected fault at a rung boundary is handled exactly like the
-    // rung failing on its own: degrade on budget codes, propagate the rest.
-    Status fault = QREL_FAULT_HIT("engine.rung.quantifier_free");
-    StatusOr<ReliabilityReport> exact =
-        fault.ok() ? QuantifierFreeReliability(effective, database_, ctx)
-                   : StatusOr<ReliabilityReport>(fault);
-    if (exact.ok()) {
-      fill_exact(*exact, "Prop 3.1 quantifier-free polynomial algorithm");
-      return report;
-    }
-    if (!ShouldDegrade(exact.status(), options)) {
-      return exact.status();
-    }
-    degrade_trigger = exact.status();
-  }
-
-  // 2. Safe self-join-free conjunctive query: exact lifted evaluation of
-  // the safe plan against the tuple marginals — polynomial, no worlds, no
-  // samples (logic/safe_plan.h, lifted/extensional.h).
-  if (degrade_trigger.ok() &&
-      report.query_class == QueryClass::kSafeConjunctive &&
-      !options.force_approximate) {
-    Status fault = QREL_FAULT_HIT("engine.rung.extensional");
-    StatusOr<ReliabilityReport> exact =
-        fault.ok() ? ExtensionalReliability(effective, database_, ctx)
-                   : StatusOr<ReliabilityReport>(fault);
-    if (exact.ok()) {
-      fill_exact(*exact, "safe-plan extensional evaluation (" +
-                             std::to_string(exact->work_units) +
-                             " plan ops)");
-      return report;
-    }
-    if (!ShouldDegrade(exact.status(), options)) {
-      return exact.status();
-    }
-    degrade_trigger = exact.status();
-  }
-
-  // 3. Small world space (or forced): exact enumeration (Thm 4.2). Skipped
-  // once a cheaper exact rung has already tripped the envelope.
-  if (degrade_trigger.ok() && (exact_feasible || options.force_exact) &&
-      !options.force_approximate) {
-    Status fault = QREL_FAULT_HIT("engine.exact.enumerate");
-    StatusOr<ReliabilityReport> exact =
-        fault.ok() ? ExactReliability(effective, database_, ctx)
-                   : StatusOr<ReliabilityReport>(fault);
-    if (exact.ok()) {
-      fill_exact(*exact, "Thm 4.2 exact world enumeration (" +
-                             std::to_string(exact->work_units) + " worlds)");
-      return report;
-    }
-    if (!ShouldDegrade(exact.status(), options)) {
-      return exact.status();
-    }
-    degrade_trigger = exact.status();
-  }
-
-  // 4./5. Randomized approximation. Runs under whatever envelope remains;
-  // single-estimate paths may truncate rather than fail.
-  ApproxOptions approx;
-  approx.epsilon = options.epsilon;
-  approx.delta = options.delta;
-  approx.seed = options.seed;
-  approx.fixed_samples = options.fixed_samples;
-  approx.run_context = ctx;
-  approx.allow_truncation = options.degrade_on_budget;
-
-  bool cor55_applies = report.query_class == QueryClass::kQuantifierFree ||
-                       report.query_class == QueryClass::kSafeConjunctive ||
-                       report.query_class == QueryClass::kConjunctive ||
-                       report.query_class == QueryClass::kExistential ||
-                       report.query_class == QueryClass::kUniversal;
-
-  std::optional<ApproxResult> estimate;
-  bool used_reserve = false;
-  if (CheckRunContext(ctx).ok()) {
-    Status fault = QREL_FAULT_HIT("engine.rung.approx");
-    StatusOr<ApproxResult> attempt =
-        !fault.ok()
-            ? StatusOr<ApproxResult>(fault)
-            : cor55_applies ? ReliabilityAbsoluteApprox(effective, database_, approx)
-                            : PaddedReliabilityApprox(effective, database_, approx);
-    if (attempt.ok()) {
-      estimate = std::move(attempt).value();
-    } else if (ShouldDegrade(attempt.status(), options)) {
-      degrade_trigger = attempt.status();
-    } else {
-      return attempt.status();
-    }
-  } else if (degrade_trigger.ok()) {
-    Status entry = CheckRunContext(ctx);
-    if (!ShouldDegrade(entry, options)) {
-      return entry;
-    }
-    degrade_trigger = entry;
-  }
-
-  if (!estimate.has_value()) {
-    if (!options.degrade_on_budget) {
-      return degrade_trigger;
-    }
-    if (ctx != nullptr && ctx->cancellation_requested()) {
-      return Status::Cancelled("run cancelled before the reserve rung");
-    }
-    // Last resort: a fixed reserve-sample padded run. It runs ungoverned —
-    // its cost is bounded by construction — so a degraded run still ends
-    // with an estimate instead of an error.
+  auto sample = [&](const ApproxOptions& approx) -> StatusOr<ApproxResult> {
+    QREL_FAULT_SITE("engine.rung.approx");
+    return sampling == Rung::kCor55
+               ? ReliabilityAbsoluteApprox(effective, database_, approx)
+               : PaddedReliabilityApprox(effective, database_, approx);
+  };
+  auto reserve = [&](const ApproxOptions& approx) -> StatusOr<ApproxResult> {
     QREL_FAULT_SITE("engine.rung.reserve");
-    ApproxOptions reserve = approx;
-    reserve.run_context = nullptr;
-    reserve.allow_truncation = false;
-    reserve.fixed_samples = options.reserve_samples;
-    StatusOr<ApproxResult> attempt =
-        PaddedReliabilityApprox(effective, database_, reserve);
-    if (!attempt.ok()) {
-      return attempt.status();
-    }
-    estimate = std::move(attempt).value();
-    used_reserve = true;
-  }
-
-  report.method = estimate->method;
-  report.is_exact = false;
-  report.reliability = estimate->estimate;
-  report.expected_error = (1.0 - estimate->estimate) * TupleSpace(n, k);
-  report.samples = estimate->samples;
-  report.partial = estimate->truncated || used_reserve;
-  report.achieved_epsilon = estimate->achieved_epsilon;
-  if (report.achieved_epsilon.has_value()) {
-    report.achieved_delta = options.delta;
-  }
-  if (!degrade_trigger.ok()) {
-    report.degraded = true;
-    report.degradation_reason = DegradationReason(degrade_trigger);
-  }
-  report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
-  return report;
+    return PaddedReliabilityApprox(effective, database_, approx);
+  };
+  return RunLadder(rung,
+                   RungMethod(rung, report.query_class, analysis.static_truth,
+                              false),
+                   TupleSpace(n, k), options, std::move(report), exact, sample,
+                   reserve);
 }
 
 StatusOr<EngineReport> ReliabilityEngine::RunDatalog(
@@ -492,104 +467,28 @@ StatusOr<EngineReport> ReliabilityEngine::RunDatalogImpl(
     }
   }
 
-  size_t uncertain = database_.UncertainEntries().size();
-  bool exact_feasible = ExactFeasible(uncertain, options);
-  Status degrade_trigger = Status::Ok();
-  if ((exact_feasible || options.force_exact) && !options.force_approximate) {
-    Status fault = QREL_FAULT_HIT("engine.datalog.exact");
-    StatusOr<ReliabilityReport> exact =
-        fault.ok() ? ExactDatalogReliability(*compiled, predicate, database_,
-                                             ctx)
-                   : StatusOr<ReliabilityReport>(fault);
-    if (exact.ok()) {
-      report.method = "Thm 4.2 exact world enumeration over Datalog (" +
-                      std::to_string(exact->work_units) + " worlds)";
-      report.is_exact = true;
-      report.exact_reliability = exact->reliability;
-      report.reliability = exact->reliability.ToDouble();
-      report.expected_error = exact->expected_error.ToDouble();
-      report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
-      return report;
-    }
-    if (!ShouldDegrade(exact.status(), options)) {
-      return exact.status();
-    }
-    degrade_trigger = exact.status();
-  }
-
-  ApproxOptions approx;
-  approx.epsilon = options.epsilon;
-  approx.delta = options.delta;
-  approx.seed = options.seed;
-  approx.fixed_samples = options.fixed_samples;
-  approx.run_context = ctx;
+  Rung rung = PlanRung(QueryClass::kGeneralFirstOrder, StaticTruth::kUnknown,
+                       database_.UncertainEntries().size(), options);
+  auto exact = [&]() -> StatusOr<ReliabilityReport> {
+    QREL_FAULT_SITE("engine.datalog.exact");
+    return ExactDatalogReliability(*compiled, predicate, database_, ctx);
+  };
   // Datalog's padded estimator shares each sampled world across all
   // tuples, so a truncated prefix of worlds is sound (see
   // datalog/reliability.h).
-  approx.allow_truncation = options.degrade_on_budget;
-
-  std::optional<ApproxResult> estimate;
-  bool used_reserve = false;
-  if (CheckRunContext(ctx).ok()) {
-    Status fault = QREL_FAULT_HIT("engine.datalog.padded");
-    StatusOr<ApproxResult> attempt =
-        fault.ok()
-            ? PaddedDatalogReliability(*compiled, predicate, database_, approx)
-            : StatusOr<ApproxResult>(fault);
-    if (attempt.ok()) {
-      estimate = std::move(attempt).value();
-    } else if (ShouldDegrade(attempt.status(), options)) {
-      degrade_trigger = attempt.status();
-    } else {
-      return attempt.status();
-    }
-  } else if (degrade_trigger.ok()) {
-    Status entry = CheckRunContext(ctx);
-    if (!ShouldDegrade(entry, options)) {
-      return entry;
-    }
-    degrade_trigger = entry;
-  }
-
-  if (!estimate.has_value()) {
-    if (!options.degrade_on_budget) {
-      return degrade_trigger;
-    }
-    if (ctx != nullptr && ctx->cancellation_requested()) {
-      return Status::Cancelled("run cancelled before the reserve rung");
-    }
+  auto sample = [&](const ApproxOptions& approx) -> StatusOr<ApproxResult> {
+    QREL_FAULT_SITE("engine.datalog.padded");
+    return PaddedDatalogReliability(*compiled, predicate, database_, approx);
+  };
+  auto reserve = [&](const ApproxOptions& approx) -> StatusOr<ApproxResult> {
     QREL_FAULT_SITE("engine.datalog.reserve");
-    ApproxOptions reserve = approx;
-    reserve.run_context = nullptr;
-    reserve.allow_truncation = false;
-    reserve.fixed_samples = options.reserve_samples;
-    StatusOr<ApproxResult> attempt =
-        PaddedDatalogReliability(*compiled, predicate, database_, reserve);
-    if (!attempt.ok()) {
-      return attempt.status();
-    }
-    estimate = std::move(attempt).value();
-    used_reserve = true;
-  }
-
-  report.method = estimate->method;
-  report.is_exact = false;
-  report.reliability = estimate->estimate;
-  report.expected_error =
-      (1.0 - estimate->estimate) *
-      TupleSpace(database_.universe_size(), *arity);
-  report.samples = estimate->samples;
-  report.partial = estimate->truncated || used_reserve;
-  report.achieved_epsilon = estimate->achieved_epsilon;
-  if (report.achieved_epsilon.has_value()) {
-    report.achieved_delta = options.delta;
-  }
-  if (!degrade_trigger.ok()) {
-    report.degraded = true;
-    report.degradation_reason = DegradationReason(degrade_trigger);
-  }
-  report.budget_spent = ctx != nullptr ? ctx->work_spent() : 0;
-  return report;
+    return PaddedDatalogReliability(*compiled, predicate, database_, approx);
+  };
+  return RunLadder(rung,
+                   RungMethod(rung, QueryClass::kGeneralFirstOrder,
+                              StaticTruth::kUnknown, true),
+                   TupleSpace(database_.universe_size(), *arity), options,
+                   std::move(report), exact, sample, reserve);
 }
 
 }  // namespace qrel

@@ -12,36 +12,43 @@
 // without sampling a single world. Otherwise dispatch uses the *simplified*
 // formula's class, which by the simplifier contract is never a worse rung.
 //
-// Strategy (in order):
-//   0. statically true/false  → closed form, no evaluation at all;
-//   1. quantifier-free        → Proposition 3.1 exact polynomial algorithm;
-//   2. safe conjunctive       → safe-plan extensional evaluation
-//                               (logic/safe_plan.h + lifted/extensional.h):
-//                               exact rationals, no worlds, no samples;
-//   3. small world space      → Theorem 4.2 exact enumeration
-//                               (2^#uncertain ≤ options.max_exact_worlds);
-//   4. existential/universal  → Corollary 5.5 absolute-error approximation
-//                               (Theorem 5.4 grounding + Karp-Luby);
-//   5. anything else          → Theorem 5.12 padded estimator.
+// Strategy: one ladder of rungs (enum Rung below), cheapest guarantee
+// first. A single planner picks the rung for Explain and for both run
+// front ends (first-order queries and Datalog programs):
+//   kStaticClosedForm  statically true/false → closed form, no evaluation;
+//   kQuantifierFree    Proposition 3.1 exact polynomial algorithm;
+//   kExtensional       safe self-join-free conjunctive query → safe-plan
+//                      extensional evaluation (logic/safe_plan.h +
+//                      lifted/extensional.h): exact rationals, no worlds,
+//                      no samples;
+//   kExactWorlds       small world space → Theorem 4.2 exact enumeration
+//                      (2^#uncertain ≤ options.max_exact_worlds);
+//   kCor55             existential/universal → Corollary 5.5
+//                      absolute-error approximation (Theorem 5.4
+//                      grounding + Karp-Luby);
+//   kPadded            anything else → Theorem 5.12 padded estimator.
+// Datalog has no syntactic class ladder and plans as general first-order,
+// so a Datalog run only ever plans kExactWorlds or kPadded.
 //
 // Explain() runs the same analysis and rung selection *without executing*:
 // it returns the diagnostics, the simplified query, the cost pre-analysis
-// (grounding size n^k, world count 2^u) and the planned method string,
-// which is always a prefix of the EngineReport::method an actual run with
-// the same options produces.
+// (grounding size n^k, world count 2^u), the planned rung and its method
+// string, which is always a prefix of the EngineReport::method an actual
+// run with the same options produces.
 //
 // Resource governance: EngineOptions::run_context carries a wall-clock
 // deadline, a work budget and a cancellation flag into every rung. An
 // envelope that is already tripped at entry fails fast with its budget
-// status. When a deadline or work budget trips *mid-rung* and
-// degrade_on_budget is set, the engine falls down the ladder instead of
-// failing — the exact rung's partial work is discarded, the randomized
-// rungs run under whatever envelope remains, and a last-resort padded run
-// with `reserve_samples` fixed samples (ungoverned, so it always finishes)
-// guarantees an answer. The report flags the fallback (`degraded`,
-// `degradation_reason`) and the weakened guarantee (`partial`,
-// `achieved_epsilon`/`achieved_delta`). Cancellation never degrades: it
-// always surfaces as kCancelled.
+// status. Both front ends then hand their rungs to one degradation
+// ladder: when a deadline or work budget trips *mid-rung* and
+// degrade_on_budget is set, the run falls from the planned exact rung to
+// the randomized rung instead of failing — the exact rung's partial work
+// is discarded and the randomized rung runs under whatever envelope
+// remains — and a last-resort padded run with `reserve_samples` fixed
+// samples (ungoverned, so it always finishes) guarantees an answer. The
+// report flags the fallback (`degraded`, `degradation_reason`) and the
+// weakened guarantee (`partial`, `achieved_epsilon`/`achieved_delta`).
+// Cancellation never degrades: it always surfaces as kCancelled.
 //
 // Crash-safe checkpointing: attach a Checkpointer to the RunContext
 // (RunContext::SetCheckpointer, after Checkpointer::LoadForResume) and
@@ -74,6 +81,17 @@
 #include "qrel/util/status.h"
 
 namespace qrel {
+
+// The rungs of the engine's ladder, in planning order (see the header
+// comment). The exact rungs come first; kCor55 and kPadded are randomized.
+enum class Rung {
+  kStaticClosedForm,  // query simplifies to true/false: R = 1 exactly
+  kQuantifierFree,    // Prop 3.1 quantifier-free polynomial algorithm
+  kExtensional,       // safe-plan extensional evaluation
+  kExactWorlds,       // Thm 4.2 exact world enumeration
+  kCor55,             // Cor 5.5 absolute-error approximation
+  kPadded,            // Thm 5.12 padded estimator
+};
 
 struct EngineOptions {
   // Targets for the randomized paths (absolute error on R_ψ).
@@ -161,9 +179,11 @@ struct EnginePlan {
   // count 2^u.
   CostEstimate cost;
 
-  // The rung an actual run with these options would execute, naming the
-  // paper theorem. Always a prefix of that run's EngineReport::method.
-  // Empty when `diagnostics` contains errors.
+  // The rung an actual run with these options would execute, and its
+  // method string naming the paper theorem — always a prefix of that
+  // run's EngineReport::method. `planned_method` is empty, and `rung`
+  // meaningless, when `diagnostics` contains errors.
+  Rung rung = Rung::kPadded;
   std::string planned_method;
 
   // Safe-plan analysis of the dispatched query (logic/safe_plan.h).
@@ -222,7 +242,8 @@ class ReliabilityEngine {
                                     const EngineOptions& options = {}) const;
 
  private:
-  // The actual rung ladders; the public entry points wrap them to turn a
+  // The two front ends (parse, analyze, compile, observed answers) of the
+  // shared rung ladder; the public entry points wrap them to turn a
   // std::bad_alloc mid-run (real or injected via util/fault_injection.h)
   // into a typed kResourceExhausted instead of a crash.
   StatusOr<EngineReport> RunImpl(const FormulaPtr& query,

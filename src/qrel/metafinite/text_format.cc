@@ -1,13 +1,11 @@
 #include "qrel/metafinite/text_format.h"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <vector>
 
+#include "qrel/prob/text_format.h"
 #include "qrel/util/fault_injection.h"
 
 namespace qrel {
@@ -213,24 +211,13 @@ StatusOr<UnreliableFunctionalDatabase> ParseMfdb(std::string_view text) {
 }
 
 StatusOr<UnreliableFunctionalDatabase> LoadMfdbFile(const std::string& path) {
-  errno = 0;
-  std::ifstream file(path);
-  if (!file) {
-    int open_errno = errno;
-    if (open_errno == ENOENT) {
-      return Status::NotFound("no such file: '" + path + "'");
-    }
-    return Status::Internal("cannot open '" + path + "': " +
-                            (open_errno != 0 ? ErrnoString(open_errno)
-                                             : "unknown error"));
+  StatusOr<std::vector<uint8_t>> bytes = ReadDatabaseFile(path);
+  if (!bytes.ok()) {
+    return bytes.status();
   }
   QREL_RETURN_IF_ERROR(QREL_FAULT_HIT("metafinite.load_mfdb.read"));
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  if (file.bad()) {
-    return Status::Internal("read error on '" + path + "'");
-  }
-  return ParseMfdb(contents.str());
+  return ParseMfdb(std::string_view(
+      reinterpret_cast<const char*>(bytes->data()), bytes->size()));
 }
 
 std::string FormatMfdb(const UnreliableFunctionalDatabase& database) {

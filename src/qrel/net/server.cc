@@ -388,17 +388,21 @@ Status QrelServer::Admit(const Request& request, const DbVersion& db,
   // estimators. Keying on the *planned* rung means a query that
   // simplifies to a safe or static form is admitted on its polynomial
   // cost, never on the 2^u world count its raw class would suggest.
-  const std::string& method = plan->planned_method;
-  if (method.rfind("Thm 4.2", 0) == 0) {
-    *cost = plan->cost.world_count;
-  } else if (method.rfind("Prop 3.1", 0) == 0) {
-    *cost = plan->cost.answer_space;
-  } else if (method.rfind("safe-plan extensional", 0) == 0) {
-    *cost = plan->cost.grounding_size;
-  } else if (plan->static_truth != StaticTruth::kUnknown) {
-    *cost = 0.0;
-  } else {
-    *cost = plan->cost.grounding_size;
+  switch (plan->rung) {
+    case Rung::kStaticClosedForm:
+      *cost = 0.0;
+      break;
+    case Rung::kQuantifierFree:
+      *cost = plan->cost.answer_space;
+      break;
+    case Rung::kExactWorlds:
+      *cost = plan->cost.world_count;
+      break;
+    case Rung::kExtensional:
+    case Rung::kCor55:
+    case Rung::kPadded:
+      *cost = plan->cost.grounding_size;
+      break;
   }
   // Negated compare so NaN and +inf reject rather than slip through.
   if (!(*cost <= options_.max_admission_cost)) {
@@ -407,7 +411,7 @@ Status QrelServer::Admit(const Request& request, const DbVersion& db,
         "static cost estimate " + FormatDouble(*cost) +
         " exceeds the admission ceiling " +
         FormatDouble(options_.max_admission_cost) +
-        " (planned: " + method + ")");
+        " (planned: " + plan->planned_method + ")");
   }
   return Status::Ok();
 }

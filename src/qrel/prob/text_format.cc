@@ -22,9 +22,10 @@ namespace {
 // pathological allocations per line.
 constexpr size_t kMaxLineLength = 1 << 16;
 constexpr size_t kMaxLineTokens = 1 << 12;
-// A .udb file bigger than this is rejected outright rather than buffered:
-// far beyond any legitimate database text, small enough to bound memory.
-constexpr size_t kMaxUdbFileBytes = size_t{1} << 30;
+// A database file bigger than this is rejected outright rather than
+// buffered: far beyond any legitimate database text, small enough to bound
+// memory.
+constexpr size_t kMaxDatabaseFileBytes = size_t{1} << 30;
 
 std::vector<std::string> Tokenize(std::string_view line) {
   std::vector<std::string> tokens;
@@ -222,11 +223,11 @@ StatusOr<UnreliableDatabase> ParseUdb(std::string_view text) {
   }
 }
 
-StatusOr<UnreliableDatabase> LoadUdbFile(const std::string& path) {
+StatusOr<std::vector<uint8_t>> ReadDatabaseFile(const std::string& path) {
   // Through the injectable filesystem (util/vfs.h) so catalog loads share
   // the same fault drills as the snapshot/manifest write path.
   StatusOr<std::vector<uint8_t>> bytes =
-      ProcessVfs().ReadFileBytes(path, kMaxUdbFileBytes);
+      ProcessVfs().ReadFileBytes(path, kMaxDatabaseFileBytes);
   if (!bytes.ok()) {
     // Missing file and unreadable file are different operational problems:
     // kNotFound is a caller typo or a deployment gap, anything else (EACCES,
@@ -236,6 +237,14 @@ StatusOr<UnreliableDatabase> LoadUdbFile(const std::string& path) {
     }
     return Status(bytes.status().code(),
                   "cannot read '" + path + "': " + bytes.status().message());
+  }
+  return bytes;
+}
+
+StatusOr<UnreliableDatabase> LoadUdbFile(const std::string& path) {
+  StatusOr<std::vector<uint8_t>> bytes = ReadDatabaseFile(path);
+  if (!bytes.ok()) {
+    return bytes.status();
   }
   QREL_RETURN_IF_ERROR(QREL_FAULT_HIT("prob.load_udb.read"));
   return ParseUdb(std::string_view(

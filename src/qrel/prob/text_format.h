@@ -17,8 +17,10 @@
 #ifndef QREL_PROB_TEXT_FORMAT_H_
 #define QREL_PROB_TEXT_FORMAT_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "qrel/prob/unreliable_database.h"
 #include "qrel/util/status.h"
@@ -27,6 +29,11 @@ namespace qrel {
 
 // Parses the .udb `text` into an UnreliableDatabase.
 StatusOr<UnreliableDatabase> ParseUdb(std::string_view text);
+
+// Reads a database text file (.udb, .mfdb) through the process VFS
+// (util/vfs.h), refusing files over 1 GiB. A missing file is kNotFound
+// naming the path; any other failure keeps its code.
+StatusOr<std::vector<uint8_t>> ReadDatabaseFile(const std::string& path);
 
 // Reads and parses a .udb file.
 StatusOr<UnreliableDatabase> LoadUdbFile(const std::string& path);

@@ -406,6 +406,14 @@ TEST(EngineAnalysisTest, DatalogAnalysisErrorsFailBeforeAnyBudgetCharge) {
   EXPECT_NE(cyclic.status().message().find("unstratifiable-cycle"),
             std::string::npos);
   EXPECT_EQ(ctx.work_spent(), 0u);
+
+  // A query predicate that is neither a rule head nor a relation.
+  StatusOr<EngineReport> unknown = engine.RunDatalog(kTcProgram, "Nope", options);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().message().find("unknown-predicate"),
+            std::string::npos);
+  EXPECT_EQ(ctx.work_spent(), 0u);
 }
 
 TEST(EngineAnalysisTest, StaticallyFalseShortCircuitsWithoutSampling) {
@@ -597,6 +605,98 @@ TEST(EngineExplainTest, DatalogExplain) {
   EnginePlan broken = *engine.ExplainDatalog("P(x, y) :- S(x).", "P");
   EXPECT_TRUE(broken.has_errors());
   EXPECT_TRUE(broken.planned_method.empty());
+
+  EnginePlan unknown = *engine.ExplainDatalog(kTcProgram, "Nope");
+  EXPECT_TRUE(unknown.has_errors());
+  EXPECT_TRUE(unknown.planned_method.empty());
+
+  // An extensional query predicate plans like a rule head.
+  EnginePlan edb = *engine.ExplainDatalog(kTcProgram, "S");
+  EXPECT_FALSE(edb.has_errors());
+  EXPECT_EQ(edb.cost.arity, 1);
+}
+
+// The degradation ladder is shared by both front ends, so every budget
+// scenario must end the same way for a first-order query and a Datalog
+// program that both plan Thm 4.2 enumeration over the same 8 worlds.
+struct LadderScenario {
+  const char* name;
+  uint64_t work_budget;
+  bool degrade_on_budget;
+  bool force_exact;
+  bool cancel_mid_sampling;
+  StatusCode code;
+  bool degraded;
+  bool partial;
+  bool is_exact;
+};
+
+StatusOr<EngineReport> RunLadderScenario(const ReliabilityEngine& engine,
+                                         const LadderScenario& scenario,
+                                         bool datalog) {
+  RunContext ctx = scenario.cancel_mid_sampling
+                       ? RunContext::Unlimited()
+                       : RunContext::WithWorkBudget(scenario.work_budget);
+  EngineOptions options;
+  options.run_context = &ctx;
+  options.degrade_on_budget = scenario.degrade_on_budget;
+  options.force_exact = scenario.force_exact;
+  std::thread canceller;
+  if (scenario.cancel_mid_sampling) {
+    options.force_approximate = true;
+    options.fixed_samples = uint64_t{1} << 40;
+    canceller = std::thread([&ctx] {
+      while (ctx.work_spent() < 10000) {
+        std::this_thread::yield();
+      }
+      ctx.RequestCancellation();
+    });
+  }
+  StatusOr<EngineReport> report =
+      datalog ? engine.RunDatalog(kTcProgram, "Path", options)
+              : engine.Run("exists x . exists y . S(x) & E(x, y) & S(y)",
+                           options);
+  if (canceller.joinable()) {
+    canceller.join();
+  }
+  return report;
+}
+
+TEST(EngineLadderTest, BothFrontEndsDegradeAlike) {
+  const LadderScenario kScenarios[] = {
+      {"zero budget at entry", 0, true, false, false,
+       StatusCode::kResourceExhausted, false, false, false},
+      {"trip mid-exact degrades to the reserve rung", 2, true, false, false,
+       StatusCode::kOk, true, true, false},
+      {"trip mid-exact without degradation", 2, false, false, false,
+       StatusCode::kResourceExhausted, false, false, false},
+      {"trip mid-exact under force_exact", 2, true, true, false,
+       StatusCode::kResourceExhausted, false, false, false},
+      {"cancellation mid-sampling", 0, true, false, true,
+       StatusCode::kCancelled, false, false, false},
+  };
+  ReliabilityEngine engine = MakeEngine();
+  for (const LadderScenario& scenario : kScenarios) {
+    for (bool datalog : {false, true}) {
+      SCOPED_TRACE(std::string(scenario.name) +
+                   (datalog ? " (Datalog)" : " (first-order)"));
+      StatusOr<EngineReport> report =
+          RunLadderScenario(engine, scenario, datalog);
+      ASSERT_EQ(report.status().code(), scenario.code)
+          << report.status().ToString();
+      if (!report.ok()) {
+        continue;
+      }
+      EXPECT_EQ(report->degraded, scenario.degraded);
+      EXPECT_EQ(report->partial, scenario.partial);
+      EXPECT_EQ(report->is_exact, scenario.is_exact);
+      EXPECT_EQ(report->method.rfind("Thm 5.12 padded estimator", 0), 0u)
+          << report->method;
+      EXPECT_NE(report->degradation_reason.find("RESOURCE_EXHAUSTED"),
+                std::string::npos)
+          << report->degradation_reason;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "qrel/metafinite/reliability.h"
 #include "qrel/metafinite/term.h"
+#include "qrel/util/fault_injection.h"
+#include "temp_path.h"
 
 namespace qrel {
 namespace {
@@ -91,7 +93,26 @@ TEST(MfdbTextFormatTest, RejectsBadDistributions) {
 }
 
 TEST(MfdbTextFormatTest, LoadMfdbFileReportsMissingFile) {
-  EXPECT_FALSE(LoadMfdbFile("/nonexistent/path.mfdb").ok());
+  std::string path = TestTempPath("definitely_missing.mfdb");
+  StatusOr<UnreliableFunctionalDatabase> db = LoadMfdbFile(path);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(db.status().message().find(path), std::string::npos);
+}
+
+TEST(MfdbTextFormatTest, LoadMfdbFileReadsThroughTheVfs) {
+  std::string path = WriteTestTempFile("load_mfdb.mfdb", kSample);
+  StatusOr<UnreliableFunctionalDatabase> loaded = LoadMfdbFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->universe_size(), 3);
+
+  FaultInjector::Instance().Reset();
+  FaultInjector::Instance().Arm("vfs.read", 1, StatusCode::kDataLoss);
+  StatusOr<UnreliableFunctionalDatabase> faulted = LoadMfdbFile(path);
+  FaultInjector::Instance().Reset();
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(faulted.status().message().find(path), std::string::npos);
 }
 
 }  // namespace

@@ -204,6 +204,46 @@ TEST(ServerTest, ExplainReportsAdmissionWithoutExecuting) {
   EXPECT_EQ(stats.completed_ok + stats.completed_error, 0u);
 }
 
+TEST(ServerTest, AdmissionCostIsThePlannedRungsCostField) {
+  QrelServer server(TestEngine(), ServerOptions{});
+  struct Case {
+    const char* query;
+    bool force_approximate;
+    const char* planned_prefix;
+    const char* cost_field;  // nullptr: the rung is free
+  };
+  const Case kCases[] = {
+      {"S(x) & !S(x)", false, "static analysis closed form", nullptr},
+      {"S(x)", false, "Prop 3.1", "answer_space"},
+      {"exists x y . E(x,y) & S(y) & S(x)", false, "Thm 4.2", "world_count"},
+      {"exists x y . E(x,y) & S(y)", false, "safe-plan extensional",
+       "grounding_size"},
+      {"exists x y . E(x,y) & S(y) & S(x)", true, "Cor 5.5", "grounding_size"},
+      {"forall x . exists y . E(x,y) | S(x)", true, "Thm 5.12",
+       "grounding_size"},
+  };
+  for (const Case& test_case : kCases) {
+    SCOPED_TRACE(test_case.query);
+    Request explain;
+    explain.verb = RequestVerb::kExplain;
+    explain.query = test_case.query;
+    explain.options.force_approximate = test_case.force_approximate;
+    Response response = server.Handle(explain);
+    ASSERT_TRUE(response.ok()) << response.status.ToString();
+    EXPECT_EQ(response.Field("planned_method")
+                  .value_or("")
+                  .rfind(test_case.planned_prefix, 0),
+              0u)
+        << response.Field("planned_method").value_or("");
+    std::string expected =
+        test_case.cost_field == nullptr
+            ? "0"
+            : response.Field(test_case.cost_field).value_or("missing");
+    EXPECT_EQ(response.Field("admission_cost").value_or(""), expected);
+    EXPECT_EQ(response.Field("admitted").value_or(""), "1");
+  }
+}
+
 TEST(ServerTest, ZeroFixedSamplesIsATypedErrorAndNothingIsCached) {
   QrelServer server(TestEngine(), ServerOptions{});
   // The Thm 5.12 padded rung used to answer this with R=-nan, 0 samples.
