@@ -4,7 +4,8 @@
 // worse rung of the dispatch ladder (PlanRank). Safe-plan contract: when
 // the classifier declares a query safe conjunctive, the extensional
 // evaluator must accept it and agree bit-for-bit with exact world
-// enumeration on a tiny deterministic database.
+// enumeration on two tiny deterministic databases, one of them with
+// μ = 0 and μ = 1 entries.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,9 +35,13 @@ const qrel::Vocabulary& FuzzVocabulary() {
   return *vocabulary;
 }
 
-// Universe {0, 1}; S = {0}, T = {1}, E = {(0, 1)}; three uncertain atoms.
-const qrel::UnreliableDatabase& FuzzDatabase() {
-  static const qrel::UnreliableDatabase* database = [] {
+// Two databases over universe {0, 1}; S = {0}, T = {1}, E = {(0, 1)}.
+// The first has three uncertain atoms. The second adds boundary entries:
+// μ = 0 on the present S(0) and the absent E(1, 1), μ = 1 on the present
+// T(1) and the absent E(0, 0), which is then certainly true only through
+// its entry.
+const std::vector<qrel::UnreliableDatabase>& FuzzDatabases() {
+  static const std::vector<qrel::UnreliableDatabase>* databases = [] {
     auto vocabulary = std::make_shared<qrel::Vocabulary>();
     vocabulary->AddRelation("S", 1);
     vocabulary->AddRelation("T", 1);
@@ -45,19 +50,33 @@ const qrel::UnreliableDatabase& FuzzDatabase() {
     observed.AddFact(0, {0});
     observed.AddFact(1, {1});
     observed.AddFact(2, {0, 1});
-    auto* db = new qrel::UnreliableDatabase(std::move(observed));
-    db->SetErrorProbability(qrel::GroundAtom{0, {0}}, qrel::Rational(1, 3));
-    db->SetErrorProbability(qrel::GroundAtom{1, {0}}, qrel::Rational(1, 4));
-    db->SetErrorProbability(qrel::GroundAtom{2, {1, 0}},
-                            qrel::Rational(1, 5));
-    return db;
+    qrel::UnreliableDatabase uncertain(observed);
+    uncertain.SetErrorProbability(qrel::GroundAtom{0, {0}},
+                                  qrel::Rational(1, 3));
+    uncertain.SetErrorProbability(qrel::GroundAtom{1, {0}},
+                                  qrel::Rational(1, 4));
+    uncertain.SetErrorProbability(qrel::GroundAtom{2, {1, 0}},
+                                  qrel::Rational(1, 5));
+    qrel::UnreliableDatabase boundary(std::move(observed));
+    boundary.SetErrorProbability(qrel::GroundAtom{0, {0}}, qrel::Rational(0));
+    boundary.SetErrorProbability(qrel::GroundAtom{2, {1, 1}},
+                                 qrel::Rational(0));
+    boundary.SetErrorProbability(qrel::GroundAtom{1, {1}}, qrel::Rational(1));
+    boundary.SetErrorProbability(qrel::GroundAtom{2, {0, 0}},
+                                 qrel::Rational(1));
+    boundary.SetErrorProbability(qrel::GroundAtom{1, {0}},
+                                 qrel::Rational(1, 2));
+    boundary.SetErrorProbability(qrel::GroundAtom{0, {1}},
+                                 qrel::Rational(2, 3));
+    return new std::vector<qrel::UnreliableDatabase>{std::move(uncertain),
+                                                     std::move(boundary)};
   }();
-  return *database;
+  return *databases;
 }
 
-// Whether evaluating `formula` on FuzzDatabase() is both meaningful and
-// cheap: every constant fits the 2-element universe, and the variable
-// count keeps the n^depth recursion and the 2^u · n^k enumeration small.
+// Whether evaluating `formula` on the fuzz databases is cheap: the
+// variable count keeps the 2^u · n^k enumeration small. (Constants are
+// range-checked by the analyzer.)
 bool CheaplyEvaluable(const qrel::FormulaPtr& formula) {
   std::set<std::string> variables;
   int quantifiers = 0;
@@ -69,14 +88,12 @@ bool CheaplyEvaluable(const qrel::FormulaPtr& formula) {
     for (const qrel::Term& term : node->args) {
       if (term.is_variable()) {
         variables.insert(term.variable);
-      } else if (term.constant < 0 || term.constant >= 2) {
-        return false;
       }
     }
     if (!node->bound_variable.empty()) {
       variables.insert(node->bound_variable);
       // Shadowing binders keep the name count low but still multiply the
-      // n^depth enumeration: cap quantifier nodes, not just names.
+      // enumeration: cap quantifier nodes, not just names.
       ++quantifiers;
     }
     if (variables.size() > 6 || quantifiers > 6) {
@@ -108,7 +125,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Analysis must not crash, with or without a vocabulary.
   qrel::FormulaAnalysis unscoped = qrel::AnalyzeFormula(*formula, nullptr);
   qrel::FormulaAnalysis scoped =
-      qrel::AnalyzeFormula(*formula, &FuzzVocabulary());
+      qrel::AnalyzeFormula(*formula, &FuzzVocabulary(), 2);
   if (unscoped.simplified == nullptr || scoped.simplified == nullptr) {
     __builtin_trap();
   }
@@ -147,17 +164,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       __builtin_trap();  // classifier and analyzer disagree
     }
     if (!scoped.has_errors() && CheaplyEvaluable(*formula)) {
-      qrel::StatusOr<qrel::ReliabilityReport> lifted =
-          qrel::ExtensionalReliability(*formula, FuzzDatabase());
-      if (!lifted.ok()) {
-        __builtin_trap();  // a safe query the evaluator refused
-      }
-      qrel::StatusOr<qrel::ReliabilityReport> enumerated =
-          qrel::ExactReliability(*formula, FuzzDatabase());
-      if (!enumerated.ok() ||
-          !(lifted->reliability == enumerated->reliability) ||
-          !(lifted->expected_error == enumerated->expected_error)) {
-        __builtin_trap();  // the polynomial rung changed the answer
+      for (const qrel::UnreliableDatabase& db : FuzzDatabases()) {
+        qrel::StatusOr<qrel::ReliabilityReport> lifted =
+            qrel::ExtensionalReliability(*formula, db);
+        if (!lifted.ok()) {
+          __builtin_trap();  // a safe query the evaluator refused
+        }
+        qrel::StatusOr<qrel::ReliabilityReport> enumerated =
+            qrel::ExactReliability(*formula, db);
+        if (!enumerated.ok() ||
+            !(lifted->reliability == enumerated->reliability) ||
+            !(lifted->expected_error == enumerated->expected_error)) {
+          __builtin_trap();  // the polynomial rung changed the answer
+        }
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "qrel/core/reliability.h"
 
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -137,6 +138,19 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
   return report;
 }
 
+Status CheckAssignmentInUniverse(const Tuple& assignment,
+                                 const UnreliableDatabase& db) {
+  for (Element value : assignment) {
+    if (value < 0 || value >= db.universe_size()) {
+      return Status::InvalidArgument(
+          "constant-out-of-range: assignment value " + std::to_string(value) +
+          " is outside the universe of size " +
+          std::to_string(db.universe_size()));
+    }
+  }
+  return Status::Ok();
+}
+
 StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const UnreliableDatabase& db,
                                          const Tuple& assignment) {
@@ -148,6 +162,7 @@ StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
   if (static_cast<int>(assignment.size()) != compiled->arity()) {
     return Status::InvalidArgument("assignment arity mismatch");
   }
+  QREL_RETURN_IF_ERROR(CheckAssignmentInUniverse(assignment, db));
   if (db.UncertainEntries().size() > 62) {
     return Status::OutOfRange(
         "exact probability would enumerate more than 2^62 worlds");

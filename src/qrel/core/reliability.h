@@ -116,8 +116,14 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
                                              const UnreliableDatabase& db,
                                              RunContext* ctx = nullptr);
 
+// Fails with kInvalidArgument (constant-out-of-range) when a value of
+// `assignment` is not an element of db's universe.
+Status CheckAssignmentInUniverse(const Tuple& assignment,
+                                 const UnreliableDatabase& db);
+
 // Exact Pr[𝔅 ⊨ ψ(ā)] for a Boolean instantiation of a query, by world
-// enumeration.
+// enumeration. An assignment value outside the universe fails with
+// kInvalidArgument (constant-out-of-range).
 StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const UnreliableDatabase& db,
                                          const Tuple& assignment);

@@ -6,6 +6,8 @@
 #include <set>
 #include <utility>
 
+#include "qrel/logic/analyze.h"
+
 namespace qrel {
 
 namespace {
@@ -145,7 +147,8 @@ void CheckReachability(const DatalogProgram& program,
 
 DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
                                       const Vocabulary* vocabulary,
-                                      const std::string& query_predicate) {
+                                      const std::string& query_predicate,
+                                      std::optional<int> universe_size) {
   DatalogAnalysis analysis;
   std::vector<Diagnostic>* diagnostics = &analysis.diagnostics;
   const std::vector<std::string> idb = program.IdbPredicates();
@@ -226,6 +229,18 @@ DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
                   "' occurs only in negated literals and is never bound",
               literal.atom.range));
         }
+      }
+    }
+  }
+
+  // Constants name universe elements, in heads and bodies alike.
+  if (universe_size.has_value()) {
+    for (const DatalogRule& rule : program.rules) {
+      CheckConstantsInUniverse(rule.head.args, *universe_size,
+                               rule.head.range, diagnostics);
+      for (const DatalogLiteral& literal : rule.body) {
+        CheckConstantsInUniverse(literal.atom.args, *universe_size,
+                                 literal.atom.range, diagnostics);
       }
     }
   }

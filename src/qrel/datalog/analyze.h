@@ -15,6 +15,8 @@
 //   error   unbound-head-variable  head variable not positively bound
 //   error   unsafe-variable        negated variable not positively bound
 //   error   unstratifiable-cycle   predicate depends negatively on itself
+//   error   constant-out-of-range  constant names no element of the
+//                                  universe (only with a universe size)
 //   warning duplicate-rule         rule repeats an earlier rule verbatim
 //   note    unreachable-predicate  rule head cannot influence the query
 //                                  predicate (only with `query_predicate`)
@@ -47,10 +49,13 @@ struct DatalogAnalysis {
 // when non-empty, is additionally checked to name a rule head or a
 // vocabulary relation (error unknown-predicate), its arity is reported,
 // and rules whose head predicate cannot reach it through the dependency
-// graph are flagged (note unreachable-predicate).
+// graph are flagged (note unreachable-predicate). Given the database's
+// `universe_size`, every constant in a head or body must lie in
+// {0, ..., n-1} (constant-out-of-range).
 DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
                                       const Vocabulary* vocabulary,
-                                      const std::string& query_predicate = "");
+                                      const std::string& query_predicate = "",
+                                      std::optional<int> universe_size = {});
 
 }  // namespace qrel
 

@@ -1,6 +1,7 @@
 #include "qrel/datalog/eval.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "qrel/util/check.h"
@@ -208,6 +209,10 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
     }
 
     std::vector<std::string> positive_variables;
+    // Slots bound by the literals compiled so far: positive literals run
+    // in this order, so whether an argument is bound at a literal is
+    // fixed at compile time.
+    std::set<int> bound_slots;
     for (size_t i = 0; i < ordered.size(); ++i) {
       const DatalogLiteral& literal = *ordered[i];
       CompiledLiteral compiled_literal;
@@ -225,6 +230,28 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
       }
       compile_args(literal.atom.args, &compiled_literal.slots,
                    &compiled_literal.constants);
+      if (literal.positive && !compiled_literal.is_idb) {
+        PossibleFacts::Path path;
+        path.relation = compiled_literal.edb_relation;
+        for (size_t position = 0; position < compiled_literal.slots.size();
+             ++position) {
+          int slot = compiled_literal.slots[position];
+          if (slot < 0 || bound_slots.count(slot) != 0) {
+            path.bound.push_back(static_cast<int>(position));
+          }
+        }
+        auto it = std::find(compiled.edb_paths_.begin(),
+                            compiled.edb_paths_.end(), path);
+        compiled_literal.edb_path =
+            static_cast<int>(it - compiled.edb_paths_.begin());
+        if (it == compiled.edb_paths_.end()) {
+          compiled.edb_paths_.push_back(std::move(path));
+        }
+      }
+      if (literal.positive) {
+        bound_slots.insert(compiled_literal.slots.begin(),
+                           compiled_literal.slots.end());
+      }
       if (i < positive_count) {
         for (const Term& term : literal.atom.args) {
           if (term.is_variable()) {
@@ -268,164 +295,146 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
   return compiled;
 }
 
-void CompiledDatalog::BodySatisfied(
-    const CompiledRule& rule, size_t literal_index,
-    std::vector<Element>* binding, const AtomOracle& edb,
-    const DatalogResult& idb, const std::set<Tuple>& head_set,
-    Tuple* head_tuple, std::set<Tuple>* additions, int delta_index,
-    const std::set<Tuple>* delta_contents, RunContext* ctx,
-    Status* budget) const {
-  if (!budget->ok()) {
+void CompiledDatalog::BodySatisfied(const CompiledRule& rule,
+                                    size_t literal_index,
+                                    std::vector<Element>* binding,
+                                    const Firing& firing) const {
+  if (!firing.budget->ok()) {
     return;
   }
-  *budget = ChargeWork(ctx);
-  if (!budget->ok()) {
+  *firing.budget = ChargeWork(firing.ctx);
+  if (!firing.budget->ok()) {
     return;
   }
   if (literal_index == rule.body.size()) {
     // Body satisfied: emit the head tuple (safety guarantees all head
     // slots are bound).
-    head_tuple->clear();
+    Tuple& head_tuple = *firing.head_tuple;
+    head_tuple.clear();
     for (size_t i = 0; i < rule.head_slots.size(); ++i) {
       int slot = rule.head_slots[i];
-      head_tuple->push_back(slot < 0 ? rule.head_constants[i]
-                                     : (*binding)[static_cast<size_t>(slot)]);
+      head_tuple.push_back(slot < 0 ? rule.head_constants[i]
+                                    : (*binding)[static_cast<size_t>(slot)]);
     }
-    if (head_set.find(*head_tuple) == head_set.end()) {
-      additions->insert(*head_tuple);
+    if (firing.head_set.find(head_tuple) == firing.head_set.end()) {
+      firing.additions->insert(head_tuple);
     }
     return;  // keep enumerating all bindings
   }
 
   const CompiledLiteral& literal = rule.body[literal_index];
-  size_t arity = literal.slots.size();
+  const size_t arity = literal.slots.size();
 
-  // Instantiate what is already bound; record unbound slots.
-  Tuple args(arity, 0);
-  std::vector<size_t> free_positions;
-  for (size_t i = 0; i < arity; ++i) {
-    int slot = literal.slots[i];
-    if (slot < 0) {
-      args[i] = literal.constants[i];
-    } else if ((*binding)[static_cast<size_t>(slot)] != kUnbound) {
-      args[i] = (*binding)[static_cast<size_t>(slot)];
-    } else {
-      free_positions.push_back(i);
-    }
-  }
-
-  auto args_match_and_bind = [&](const Tuple& candidate,
-                                 std::vector<int>* newly_bound) {
+  if (!literal.positive) {
+    // All arguments bound (compile-time safety): a simple membership test.
+    Tuple args(arity, 0);
     for (size_t i = 0; i < arity; ++i) {
       int slot = literal.slots[i];
+      args[i] = slot < 0 ? literal.constants[i]
+                         : (*binding)[static_cast<size_t>(slot)];
+    }
+    bool holds;
+    if (literal.is_idb) {
+      const std::set<Tuple>& contents = firing.idb.at(literal.idb_relation);
+      holds = contents.find(args) != contents.end();
+    } else {
+      holds = firing.edb.AtomTrue(literal.edb_relation, args);
+    }
+    if (!holds) {
+      BodySatisfied(rule, literal_index + 1, binding, firing);
+    }
+    return;
+  }
+
+  // Binds the literal's free slots to `candidate` if it agrees with the
+  // constants and the bound slots (and with itself on repeated variables),
+  // then descends; restores the binding either way.
+  auto descend_on = [&](const Tuple& candidate) {
+    std::vector<int> newly_bound;
+    bool matched = true;
+    for (size_t i = 0; i < arity && matched; ++i) {
+      int slot = literal.slots[i];
       if (slot < 0) {
-        if (candidate[i] != literal.constants[i]) return false;
+        matched = candidate[i] == literal.constants[i];
         continue;
       }
       Element& value = (*binding)[static_cast<size_t>(slot)];
       if (value == kUnbound) {
         value = candidate[i];
-        newly_bound->push_back(slot);
-      } else if (value != candidate[i]) {
-        return false;
+        newly_bound.push_back(slot);
+      } else {
+        matched = value == candidate[i];
       }
     }
-    return true;
+    if (matched && (literal.is_idb ||
+                    firing.edb.AtomTrue(literal.edb_relation, candidate))) {
+      BodySatisfied(rule, literal_index + 1, binding, firing);
+    }
+    for (int slot : newly_bound) {
+      (*binding)[static_cast<size_t>(slot)] = kUnbound;
+    }
   };
-
-  if (!literal.positive) {
-    // All arguments bound (compile-time safety): a simple membership test.
-    bool holds;
-    if (literal.is_idb) {
-      const std::set<Tuple>& contents = idb.at(literal.idb_relation);
-      holds = contents.find(args) != contents.end();
-    } else {
-      holds = edb.AtomTrue(literal.edb_relation, args);
-    }
-    if (holds) {
-      return;
-    }
-    BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                  head_tuple, additions, delta_index, delta_contents, ctx,
-                  budget);
-    return;
-  }
 
   if (literal.is_idb) {
     // Iterate the materialized relation (or the delta, when this is the
     // restricted literal of a semi-naive pass), filtered by the bound
     // positions.
     const std::set<Tuple>& contents =
-        static_cast<int>(literal_index) == delta_index
-            ? *delta_contents
-            : idb.at(literal.idb_relation);
+        static_cast<int>(literal_index) == firing.delta_index
+            ? *firing.delta_contents
+            : firing.idb.at(literal.idb_relation);
     for (const Tuple& candidate : contents) {
-      std::vector<int> newly_bound;
-      bool matched = args_match_and_bind(candidate, &newly_bound);
-      if (matched) {
-        BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                      head_tuple, additions, delta_index, delta_contents,
-                      ctx, budget);
-      }
-      for (int slot : newly_bound) {
-        (*binding)[static_cast<size_t>(slot)] = kUnbound;
-      }
-      if (!budget->ok()) {
+      descend_on(candidate);
+      if (!firing.budget->ok()) {
         return;
       }
     }
     return;
   }
 
-  // Extensional literal: enumerate values for the unbound positions and
-  // probe the oracle. Positions sharing one variable slot move together.
-  std::vector<int> distinct_free_slots;
-  for (size_t position : free_positions) {
-    int slot = literal.slots[position];
-    if (std::find(distinct_free_slots.begin(), distinct_free_slots.end(),
-                  slot) == distinct_free_slots.end()) {
-      distinct_free_slots.push_back(slot);
-    }
+  // Extensional literal: the possible facts that match the bound
+  // positions, each confirmed by the oracle.
+  const PossibleFacts::Path& path =
+      edb_paths_[static_cast<size_t>(literal.edb_path)];
+  Tuple key;
+  key.reserve(path.bound.size());
+  for (int position : path.bound) {
+    int slot = literal.slots[static_cast<size_t>(position)];
+    key.push_back(slot < 0 ? literal.constants[static_cast<size_t>(position)]
+                           : (*binding)[static_cast<size_t>(slot)]);
   }
-  int n = edb.universe_size();
-  Tuple values(distinct_free_slots.size(), 0);
-  bool more = true;
-  while (more) {
-    for (size_t i = 0; i < distinct_free_slots.size(); ++i) {
-      (*binding)[static_cast<size_t>(distinct_free_slots[i])] = values[i];
+  for (const Tuple* candidate : firing.facts.Match(literal.edb_path, key)) {
+    descend_on(*candidate);
+    if (!firing.budget->ok()) {
+      return;
     }
-    for (size_t i = 0; i < arity; ++i) {
-      int slot = literal.slots[i];
-      if (slot >= 0) {
-        args[i] = (*binding)[static_cast<size_t>(slot)];
-      }
-    }
-    if (edb.AtomTrue(literal.edb_relation, args)) {
-      BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                    head_tuple, additions, delta_index, delta_contents, ctx,
-                    budget);
-      if (!budget->ok()) {
-        break;
-      }
-    }
-    more = !values.empty() && AdvanceTuple(&values, n);
-    if (values.empty()) {
-      more = false;
-    }
-  }
-  for (int slot : distinct_free_slots) {
-    (*binding)[static_cast<size_t>(slot)] = kUnbound;
   }
 }
 
-StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const AtomOracle& edb,
+Status CompiledDatalog::FireRule(const CompiledRule& rule,
+                                 const AtomOracle& edb,
+                                 const PossibleFacts& facts,
+                                 const DatalogResult& idb, int delta_index,
+                                 const std::set<Tuple>* delta_contents,
+                                 RunContext* ctx,
+                                 std::set<Tuple>* additions) const {
+  Status budget = Status::Ok();
+  Tuple head_tuple;
+  std::vector<Element> binding(static_cast<size_t>(rule.variable_count),
+                               kUnbound);
+  BodySatisfied(rule, 0, &binding,
+                Firing{edb, facts, idb, idb.at(rule.head), &head_tuple,
+                       additions, delta_index, delta_contents, ctx, &budget});
+  return budget;
+}
+
+StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const Structure& edb,
                                                    RunContext* ctx) const {
+  const PossibleFacts facts(edb, edb_paths_);
   DatalogResult idb;
   for (const std::string& predicate : idb_predicates_) {
     idb[predicate] = {};
   }
-  Tuple head_tuple;
-  Status budget = Status::Ok();
   for (int stratum = 0; stratum < stratum_count_; ++stratum) {
     bool changed = true;
     while (changed) {
@@ -436,11 +445,8 @@ StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const AtomOracle& edb,
           continue;
         }
         std::set<Tuple> additions;
-        std::vector<Element> binding(
-            static_cast<size_t>(rule.variable_count), kUnbound);
-        BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                      &head_tuple, &additions, -1, nullptr, ctx, &budget);
-        QREL_RETURN_IF_ERROR(budget);
+        QREL_RETURN_IF_ERROR(
+            FireRule(rule, edb, facts, idb, -1, nullptr, ctx, &additions));
         if (!additions.empty()) {
           idb[rule.head].insert(additions.begin(), additions.end());
           changed = true;
@@ -451,7 +457,18 @@ StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const AtomOracle& edb,
   return idb;
 }
 
+StatusOr<DatalogResult> CompiledDatalog::Eval(const Structure& edb,
+                                              RunContext* ctx) const {
+  return Eval(edb, PossibleFacts(edb, edb_paths_), ctx);
+}
+
+StatusOr<DatalogResult> CompiledDatalog::Eval(const WorldView& edb,
+                                              RunContext* ctx) const {
+  return Eval(edb, PossibleFacts(edb.database(), edb_paths_), ctx);
+}
+
 StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
+                                              const PossibleFacts& facts,
                                               RunContext* ctx) const {
   DatalogResult idb;
   for (const std::string& predicate : idb_predicates_) {
@@ -532,8 +549,6 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
     }
   }
 
-  Tuple head_tuple;
-  Status budget = Status::Ok();
   for (int stratum = start_stratum; stratum < stratum_count_; ++stratum) {
     DatalogResult delta;
     for (const std::string& predicate : idb_predicates_) {
@@ -558,11 +573,8 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
           continue;
         }
         std::set<Tuple> additions;
-        std::vector<Element> binding(
-            static_cast<size_t>(rule.variable_count), kUnbound);
-        BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                      &head_tuple, &additions, -1, nullptr, ctx, &budget);
-        QREL_RETURN_IF_ERROR(budget);
+        QREL_RETURN_IF_ERROR(
+            FireRule(rule, edb, facts, idb, -1, nullptr, ctx, &additions));
         delta[rule.head].insert(additions.begin(), additions.end());
       }
       for (auto& [predicate, tuples] : delta) {
@@ -595,12 +607,9 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
             continue;
           }
           std::set<Tuple> additions;
-          std::vector<Element> binding(
-              static_cast<size_t>(rule.variable_count), kUnbound);
-          BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                        &head_tuple, &additions, static_cast<int>(i),
-                        &restricted, ctx, &budget);
-          QREL_RETURN_IF_ERROR(budget);
+          QREL_RETURN_IF_ERROR(FireRule(rule, edb, facts, idb,
+                                        static_cast<int>(i), &restricted, ctx,
+                                        &additions));
           for (const Tuple& tuple : additions) {
             if (idb.at(rule.head).find(tuple) == idb.at(rule.head).end()) {
               next_delta[rule.head].insert(tuple);
@@ -630,10 +639,10 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
 }
 
 StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
-    const AtomOracle& edb, const std::string& predicate,
-    RunContext* ctx) const {
+    const AtomOracle& edb, const PossibleFacts& facts,
+    const std::string& predicate, RunContext* ctx) const {
   if (idb_arity_.find(predicate) != idb_arity_.end()) {
-    StatusOr<DatalogResult> result = Eval(edb, ctx);
+    StatusOr<DatalogResult> result = Eval(edb, facts, ctx);
     if (!result.ok()) {
       return result.status();
     }
@@ -643,17 +652,22 @@ StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
   if (!relation.has_value()) {
     return Status::NotFound("unknown predicate '" + predicate + "'");
   }
-  // Materialize the extensional relation through the oracle.
+  // Materialize the extensional relation: its possible facts, confirmed
+  // through the oracle.
   std::set<Tuple> contents;
-  int arity = edb_vocabulary_->relation(*relation).arity;
-  Tuple tuple(static_cast<size_t>(arity), 0);
-  do {
+  for (const Tuple& tuple : facts.Tuples(*relation)) {
     QREL_RETURN_IF_ERROR(ChargeWork(ctx));
     if (edb.AtomTrue(*relation, tuple)) {
       contents.insert(tuple);
     }
-  } while (AdvanceTuple(&tuple, edb.universe_size()));
+  }
   return contents;
+}
+
+StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
+    const Structure& edb, const std::string& predicate,
+    RunContext* ctx) const {
+  return EvalPredicate(edb, PossibleFacts(edb, edb_paths_), predicate, ctx);
 }
 
 StatusOr<int> CompiledDatalog::PredicateArity(

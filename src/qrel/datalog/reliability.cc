@@ -51,8 +51,11 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
                           .end = uint64_t{1} << db.UncertainEntries().size(),
                           .fault_site = "datalog.exact.world"});
 
+  // One index for the observed database and every world: each makes
+  // true only atoms among db's possible facts.
+  const PossibleFacts facts(db, program.edb_paths());
   StatusOr<std::set<Tuple>> observed =
-      program.EvalPredicate(db.observed(), predicate, ctx);
+      program.EvalPredicate(db.observed(), facts, predicate, ctx);
   if (!observed.ok()) {
     return observed.status();
   }
@@ -61,7 +64,7 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
   QREL_RETURN_IF_ERROR(EnumerateWorlds(
       db, loop, &report, [&](const WorldView& view) -> StatusOr<size_t> {
         StatusOr<std::set<Tuple>> actual =
-            program.EvalPredicate(view, predicate, ctx);
+            program.EvalPredicate(view, facts, predicate, ctx);
         if (!actual.ok()) {
           return actual.status();  // the envelope, or an injected fault
         }
@@ -112,8 +115,9 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
                      .fault_site = "datalog.padded.world",
                      .allow_truncation = options.allow_truncation});
 
-  StatusOr<std::set<Tuple>> observed =
-      program.EvalPredicate(db.observed(), predicate, options.run_context);
+  const PossibleFacts facts(db, program.edb_paths());
+  StatusOr<std::set<Tuple>> observed = program.EvalPredicate(
+      db.observed(), facts, predicate, options.run_context);
   if (!observed.ok()) {
     return observed.status();
   }
@@ -151,8 +155,8 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
         WorldView view(db, world);
         // A fixpoint trip mid-world is a budget trip like any other: the
         // completed worlds are a valid (smaller) sample for every tuple.
-        StatusOr<std::set<Tuple>> actual =
-            program.EvalPredicate(view, predicate, options.run_context);
+        StatusOr<std::set<Tuple>> actual = program.EvalPredicate(
+            view, facts, predicate, options.run_context);
         if (!actual.ok()) {
           return actual.status();
         }

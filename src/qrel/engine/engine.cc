@@ -4,6 +4,7 @@
 #include <functional>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "qrel/datalog/eval.h"
 #include "qrel/lifted/extensional.h"
@@ -246,7 +247,8 @@ StatusOr<EnginePlan> ReliabilityEngine::Explain(
 
 EnginePlan ReliabilityEngine::Explain(const FormulaPtr& query,
                                       const EngineOptions& options) const {
-  FormulaAnalysis analysis = AnalyzeFormula(query, &database_.vocabulary());
+  FormulaAnalysis analysis = AnalyzeFormula(query, &database_.vocabulary(),
+                                            database_.universe_size());
   size_t uncertain = database_.UncertainEntries().size();
 
   EnginePlan plan;
@@ -292,7 +294,8 @@ EnginePlan ReliabilityEngine::ExplainDatalog(
     const DatalogProgram& program, const std::string& predicate,
     const EngineOptions& options) const {
   DatalogAnalysis analysis =
-      AnalyzeDatalogProgram(program, &database_.vocabulary(), predicate);
+      AnalyzeDatalogProgram(program, &database_.vocabulary(), predicate,
+                            database_.universe_size());
   size_t uncertain = database_.UncertainEntries().size();
 
   EnginePlan plan;
@@ -331,7 +334,8 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
   // Static analysis first: unknown predicates, arity mismatches and the
   // like fail with a source-located diagnostic before the envelope is
   // consulted and before any budget could be charged.
-  FormulaAnalysis analysis = AnalyzeFormula(query, &database_.vocabulary());
+  FormulaAnalysis analysis = AnalyzeFormula(query, &database_.vocabulary(),
+                                            database_.universe_size());
   if (analysis.has_errors()) {
     return Status::InvalidArgument(FirstErrorMessage(analysis.diagnostics));
   }
@@ -359,12 +363,12 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
   int n = database_.universe_size();
   int k = compiled->arity();
 
-  if (options.include_observed_answers) {
-    double tuples = TupleSpace(n, k);
-    if (tuples <= static_cast<double>(uint64_t{1} << 16)) {
-      report.observed_answers = compiled->AnswerSet(database_.observed());
-    }
-  }
+  const bool want_answers =
+      options.include_observed_answers &&
+      TupleSpace(n, k) <= static_cast<double>(uint64_t{1} << 16);
+  // The extensional rung computes ψ^𝔄 from its plan as it goes; the other
+  // rungs (and a degraded extensional run) take it from the query.
+  std::vector<Tuple> extensional_answers;
 
   Rung rung = PlanRung(report.query_class, analysis.static_truth,
                        database_.UncertainEntries().size(), options);
@@ -386,7 +390,9 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
         // Exact lifted evaluation of the safe plan against the tuple
         // marginals (logic/safe_plan.h, lifted/extensional.h).
         QREL_FAULT_SITE("engine.rung.extensional");
-        return ExtensionalReliability(effective, database_, ctx);
+        return ExtensionalReliability(
+            effective, database_, ctx,
+            want_answers ? &extensional_answers : nullptr);
       default:
         QREL_FAULT_SITE("engine.exact.enumerate");
         return ExactReliability(effective, database_, ctx);
@@ -402,11 +408,19 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
     QREL_FAULT_SITE("engine.rung.reserve");
     return PaddedReliabilityApprox(effective, database_, approx);
   };
-  return RunLadder(rung,
-                   RungMethod(rung, report.query_class, analysis.static_truth,
-                              false),
-                   TupleSpace(n, k), options, std::move(report), exact, sample,
-                   reserve);
+  StatusOr<EngineReport> result =
+      RunLadder(rung,
+                RungMethod(rung, report.query_class, analysis.static_truth,
+                           false),
+                TupleSpace(n, k), options, std::move(report), exact, sample,
+                reserve);
+  if (result.ok() && want_answers) {
+    result->observed_answers =
+        rung == Rung::kExtensional && result->is_exact
+            ? std::move(extensional_answers)
+            : compiled->AnswerSet(database_.observed());
+  }
+  return result;
 }
 
 StatusOr<EngineReport> ReliabilityEngine::RunDatalog(
@@ -436,7 +450,8 @@ StatusOr<EngineReport> ReliabilityEngine::RunDatalogImpl(
   // a broken program fails with a source-located diagnostic before the
   // envelope is consulted and before any budget could be charged.
   DatalogAnalysis analysis =
-      AnalyzeDatalogProgram(*program, &database_.vocabulary(), predicate);
+      AnalyzeDatalogProgram(*program, &database_.vocabulary(), predicate,
+                            database_.universe_size());
   if (analysis.has_errors()) {
     return Status::InvalidArgument(FirstErrorMessage(analysis.diagnostics));
   }

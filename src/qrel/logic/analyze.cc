@@ -47,8 +47,11 @@ void CollectVariables(const Formula& formula,
 class FormulaChecker {
  public:
   FormulaChecker(const Vocabulary* vocabulary,
+                 std::optional<int> universe_size,
                  std::vector<Diagnostic>* diagnostics)
-      : vocabulary_(vocabulary), diagnostics_(diagnostics) {}
+      : vocabulary_(vocabulary),
+        universe_size_(universe_size),
+        diagnostics_(diagnostics) {}
 
   void Check(const Formula& formula) {
     switch (formula.kind) {
@@ -57,8 +60,10 @@ class FormulaChecker {
         return;
       case FormulaKind::kAtom:
         CheckAtom(formula);
+        CheckConstants(formula);
         return;
       case FormulaKind::kEquals:
+        CheckConstants(formula);
         if (!formula.args[0].is_variable() &&
             !formula.args[1].is_variable()) {
           diagnostics_->push_back(MakeNote(
@@ -109,6 +114,13 @@ class FormulaChecker {
               std::to_string(arity) + " but is used with " +
               std::to_string(atom.args.size()) + " argument(s)",
           atom.range));
+    }
+  }
+
+  void CheckConstants(const Formula& formula) {
+    if (universe_size_.has_value()) {
+      CheckConstantsInUniverse(formula.args, *universe_size_, formula.range,
+                               diagnostics_);
     }
   }
 
@@ -169,6 +181,7 @@ class FormulaChecker {
   }
 
   const Vocabulary* vocabulary_;
+  std::optional<int> universe_size_;
   std::vector<Diagnostic>* diagnostics_;
 };
 
@@ -188,10 +201,12 @@ const char* StaticTruthName(StaticTruth truth) {
 }
 
 FormulaAnalysis AnalyzeFormula(const FormulaPtr& formula,
-                               const Vocabulary* vocabulary) {
+                               const Vocabulary* vocabulary,
+                               std::optional<int> universe_size) {
   QREL_CHECK(formula != nullptr);
   FormulaAnalysis analysis;
-  FormulaChecker(vocabulary, &analysis.diagnostics).Check(*formula);
+  FormulaChecker(vocabulary, universe_size, &analysis.diagnostics)
+      .Check(*formula);
 
   analysis.simplified = SimplifyFormula(formula);
   analysis.original_class = Classify(formula);
@@ -230,6 +245,23 @@ FormulaAnalysis AnalyzeFormula(const FormulaPtr& formula,
                               analysis.safety.diagnostics.begin(),
                               analysis.safety.diagnostics.end());
   return analysis;
+}
+
+void CheckConstantsInUniverse(const std::vector<Term>& args,
+                              int universe_size, const SourceRange& range,
+                              std::vector<Diagnostic>* diagnostics) {
+  // Constants name universe elements; one outside {0..n-1} would make
+  // evaluation read an atom no database over the universe can hold.
+  for (const Term& term : args) {
+    if (!term.is_variable() &&
+        (term.constant < 0 || term.constant >= universe_size)) {
+      diagnostics->push_back(MakeError(
+          "constant-out-of-range",
+          "constant " + term.ToString() + " is outside the universe of size " +
+              std::to_string(universe_size),
+          range));
+    }
+  }
 }
 
 CostEstimate EstimateCost(const FormulaPtr& formula, int universe_size,

@@ -15,6 +15,8 @@
 // explanation"):
 //   error   unknown-predicate      relation not in the vocabulary
 //   error   arity-mismatch         relation used with the wrong arity
+//   error   constant-out-of-range  constant names no element of the
+//                                  universe (only with a universe size)
 //   warning unused-quantifier      bound variable never occurs in the body
 //   warning vacuous-quantifier     quantified body is a truth constant
 //   warning contradictory-literals conjunction contains φ and !φ
@@ -33,6 +35,7 @@
 #ifndef QREL_LOGIC_ANALYZE_H_
 #define QREL_LOGIC_ANALYZE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,9 +103,19 @@ struct FormulaAnalysis {
 
 // Analyzes `formula`. `vocabulary` is nullable; without it the
 // vocabulary-dependent checks (unknown-predicate, arity-mismatch) are
-// skipped and only the purely syntactic checks run.
+// skipped and only the purely syntactic checks run. Given the database's
+// `universe_size`, every constant must lie in {0, ..., n-1}
+// (constant-out-of-range).
 FormulaAnalysis AnalyzeFormula(const FormulaPtr& formula,
-                               const Vocabulary* vocabulary);
+                               const Vocabulary* vocabulary,
+                               std::optional<int> universe_size = {});
+
+// Appends a constant-out-of-range error, located at `range`, for each
+// constant among `args` outside {0, ..., universe_size-1}. Shared by the
+// first-order and Datalog analyzers.
+void CheckConstantsInUniverse(const std::vector<Term>& args,
+                              int universe_size, const SourceRange& range,
+                              std::vector<Diagnostic>* diagnostics);
 
 // The cost pre-analysis for `formula` (use the *effective* formula the
 // engine will dispatch on) against a database with `universe_size` and

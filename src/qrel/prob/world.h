@@ -65,6 +65,8 @@ class WorldView : public AtomOracle {
   int universe_size() const override;
   bool AtomTrue(int relation_id, const Tuple& tuple) const override;
 
+  const UnreliableDatabase& database() const { return database_; }
+
  private:
   const UnreliableDatabase& database_;
   const World& world_;

@@ -4,10 +4,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "qrel/core/reliability.h"
+#include "qrel/lifted/extensional.h"
+#include "qrel/logic/eval.h"
 #include "qrel/logic/parser.h"
 #include "qrel/prob/text_format.h"
 #include "qrel/util/fault_injection.h"
@@ -320,22 +323,30 @@ TEST(EngineDatalogTest, ApproximatePathMatchesExact) {
 
 TEST(EngineDatalogTest, WorkBudgetDegradesToPaddedEstimator) {
   ReliabilityEngine engine = MakeEngine();
-  // Far too little for 8 worlds' worth of exact enumeration.
-  RunContext ctx = RunContext::WithWorkBudget(64);
+  // What the exact rung costs, measured rather than assumed; half of it
+  // cannot finish the enumeration.
+  RunContext unbudgeted;
+  EngineOptions measure;
+  measure.run_context = &unbudgeted;
+  StatusOr<EngineReport> exact =
+      engine.RunDatalog(kTcProgram, "Path", measure);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_TRUE(exact->is_exact);
+  const uint64_t budget = exact->budget_spent / 2;
+  ASSERT_GT(budget, 0u);
+
+  RunContext ctx = RunContext::WithWorkBudget(budget);
   EngineOptions options;
   options.run_context = &ctx;
   options.fixed_samples = 50;
   StatusOr<EngineReport> report =
       engine.RunDatalog(kTcProgram, "Path", options);
-  if (report.ok() && report->is_exact) {
-    // The budget happened to cover the exact rung; nothing to assert.
-    GTEST_SKIP() << "budget covered exact enumeration";
-  }
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->is_exact);
   EXPECT_TRUE(report->degraded);
   EXPECT_NE(report->method.find("Thm 5.12"), std::string::npos)
       << report->method;
-  EXPECT_GE(report->budget_spent, 64u);
+  EXPECT_GE(report->budget_spent, budget);
 }
 
 TEST(EngineDatalogTest, ErrorsPropagate) {
@@ -414,6 +425,86 @@ TEST(EngineAnalysisTest, DatalogAnalysisErrorsFailBeforeAnyBudgetCharge) {
   EXPECT_NE(unknown.status().message().find("unknown-predicate"),
             std::string::npos);
   EXPECT_EQ(ctx.work_spent(), 0u);
+}
+
+TEST(EngineAnalysisTest, OutOfRangeConstantIsATypedErrorBeforeAnyCharge) {
+  ReliabilityEngine engine = MakeEngine();  // universe {0, 1, 2, 3}
+  RunContext ctx = RunContext::WithWorkBudget(1000);
+  EngineOptions options;
+  options.run_context = &ctx;
+
+  // A safe query: the analyzer used to pass it and evaluation then read
+  // the atom E(x, 7), which no database over this universe can hold.
+  EnginePlan plan = *engine.Explain("exists x . E(x, 7) & S(x)");
+  EXPECT_TRUE(plan.has_errors());
+  ASSERT_FALSE(plan.diagnostics.empty());
+  bool reported = false;
+  for (const Diagnostic& diagnostic : plan.diagnostics) {
+    reported = reported || diagnostic.check_id == "constant-out-of-range";
+  }
+  EXPECT_TRUE(reported);
+
+  for (const char* query : {"exists x . E(x, 7) & S(x)", "S(#4)",
+                            "exists x . x = #9 & S(x)"}) {
+    StatusOr<EngineReport> run = engine.Run(query, options);
+    ASSERT_FALSE(run.ok()) << query;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(run.status().message().find("constant-out-of-range"),
+              std::string::npos)
+        << run.status().ToString();
+  }
+
+  for (const char* program :
+       {"P(x) :- E(x, #7).", "P(#5) :- S(x).", "P(x) :- S(x), !E(x, #4)."}) {
+    EnginePlan datalog_plan = *engine.ExplainDatalog(program, "P");
+    EXPECT_TRUE(datalog_plan.has_errors()) << program;
+    StatusOr<EngineReport> run = engine.RunDatalog(program, "P", options);
+    ASSERT_FALSE(run.ok()) << program;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << program;
+    EXPECT_NE(run.status().message().find("constant-out-of-range"),
+              std::string::npos)
+        << run.status().ToString();
+  }
+  EXPECT_EQ(ctx.work_spent(), 0u);
+}
+
+TEST(EngineAnalysisTest, OutOfRangeAssignmentIsATypedError) {
+  ReliabilityEngine engine = MakeEngine();
+  const UnreliableDatabase& db = engine.database();
+  FormulaPtr query = *ParseFormula("exists y . E(x, y) & S(y)");
+  for (const Tuple& assignment : {Tuple{4}, Tuple{-1}}) {
+    StatusOr<Rational> exact = ExactQueryProbability(query, db, assignment);
+    ASSERT_FALSE(exact.ok());
+    EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(exact.status().message().find("constant-out-of-range"),
+              std::string::npos);
+    StatusOr<Rational> lifted =
+        ExtensionalQueryProbability(query, db, assignment);
+    ASSERT_FALSE(lifted.ok());
+    EXPECT_EQ(lifted.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(lifted.status().message().find("constant-out-of-range"),
+              std::string::npos);
+  }
+  // In range, the two agree.
+  EXPECT_EQ(*ExactQueryProbability(query, db, {1}),
+            *ExtensionalQueryProbability(query, db, {1}));
+}
+
+TEST(EngineTest, ExtensionalRungReportsTheObservedAnswersOfItsPlan) {
+  ReliabilityEngine engine = MakeEngine();
+  const char* query = "exists y . E(x, y) & S(y)";
+  EngineReport report = *engine.Run(query);
+  ASSERT_TRUE(report.is_exact);
+  EXPECT_EQ(report.method.rfind("safe-plan extensional", 0), 0u)
+      << report.method;
+  ASSERT_TRUE(report.observed_answers.has_value());
+  StatusOr<CompiledQuery> compiled = CompiledQuery::Compile(
+      *ParseFormula(query), engine.database().vocabulary());
+  ASSERT_TRUE(compiled.ok());
+  // E(1, 2) with S(2): x = 1 is the only observed answer.
+  EXPECT_EQ(*report.observed_answers,
+            compiled->AnswerSet(engine.database().observed()));
+  EXPECT_EQ(*report.observed_answers, std::vector<Tuple>{{1}});
 }
 
 TEST(EngineAnalysisTest, StaticallyFalseShortCircuitsWithoutSampling) {

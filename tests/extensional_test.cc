@@ -5,6 +5,7 @@
 
 #include "qrel/lifted/extensional.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,13 +24,18 @@ FormulaPtr MustParse(const std::string& text) {
   return *result;
 }
 
-// E = {(0,1), (1,2)}, S = {0}, T = {2} over universe {0, 1, 2}.
-UnreliableDatabase SmallDatabase() {
+std::shared_ptr<Vocabulary> TestVocabulary() {
   auto vocabulary = std::make_shared<Vocabulary>();
   vocabulary->AddRelation("E", 2);
   vocabulary->AddRelation("S", 1);
   vocabulary->AddRelation("T", 1);
-  Structure observed(vocabulary, 3);
+  vocabulary->AddRelation("E2", 2);
+  return vocabulary;
+}
+
+// E = {(0,1), (1,2)}, S = {0}, T = {2} over universe {0, 1, 2}.
+UnreliableDatabase SmallDatabase() {
+  Structure observed(TestVocabulary(), 3);
   observed.AddFact(0, {0, 1});
   observed.AddFact(0, {1, 2});
   observed.AddFact(1, {0});
@@ -60,6 +66,16 @@ const char* const kSafeQueries[] = {
     "exists x . E(x, x)",
     "exists x . x = #1 & S(x)",
     "exists x . x = y & E(x, y)",
+    // Constants inside atoms, a ground atom beside a project, and two
+    // free variables (one with a residual equality leaf).
+    "exists y . E(#0, y) & S(y)",
+    "exists x . S(x) & T(#1)",
+    "exists z . E(x, z) & S(z) & T(y)",
+    "exists z . E(x, z) & T(z) & x = y",
+    "exists z . E(z, x) & E2(z, y)",
+    // Projects whose first atom also holds a variable projected deeper.
+    "exists x . exists y . E(x, y)",
+    "exists x y z . E2(x, y) & E(x, z)",
 };
 
 // Every free-variable assignment over db's universe, in tuple-space order.
@@ -124,41 +140,57 @@ TEST(ExtensionalTest, HandComputedExistential) {
 }
 
 TEST(ExtensionalTest, RandomizedDatabasesMatchBitForBit) {
-  // Fuzz the marginals: random small databases whose error probabilities
-  // are drawn from {0, 1/4, 1/2, 3/4, 1} — deliberately including both
+  // Fuzz the marginals: random databases whose error probabilities are
+  // drawn from {0, 1/4, 1/2, 3/4, 1} — deliberately including both
   // boundary values, where an off-by-one in the complement arithmetic or
-  // a dropped certain atom would show up.
+  // a dropped certain atom would show up. Every round also holds a μ = 0
+  // entry and an absent atom with μ = 1, which is certainly true only
+  // through its entry. Universes reach 8 elements with most atoms
+  // certain, so projects skip most values.
   Rng rng(20260807);
-  for (int round = 0; round < 40; ++round) {
-    auto vocabulary = std::make_shared<Vocabulary>();
-    vocabulary->AddRelation("E", 2);
-    vocabulary->AddRelation("S", 1);
-    vocabulary->AddRelation("T", 1);
-    int n = 2 + static_cast<int>(rng.NextBelow(2));  // universe 2 or 3
-    Structure observed(vocabulary, n);
+  for (int round = 0; round < 48; ++round) {
+    const int n = round < 32 ? 2 + static_cast<int>(rng.NextBelow(2))
+                             : 4 + static_cast<int>(rng.NextBelow(5));
+    Structure observed(TestVocabulary(), n);
     for (int a = 0; a < n; ++a) {
       if (rng.NextBelow(2) == 0) observed.AddFact(1, {a});
       if (rng.NextBelow(2) == 0) observed.AddFact(2, {a});
       for (int b = 0; b < n; ++b) {
-        if (rng.NextBelow(3) == 0) observed.AddFact(0, {a, b});
+        if (rng.NextBelow(static_cast<uint64_t>(n)) == 0) {
+          observed.AddFact(0, {a, b});
+        }
+        if (rng.NextBelow(static_cast<uint64_t>(n)) == 0) {
+          observed.AddFact(3, {a, b});
+        }
       }
+    }
+    auto random_atom = [&]() {
+      GroundAtom atom;
+      atom.relation = static_cast<int>(rng.NextBelow(4));
+      int arity = atom.relation == 0 || atom.relation == 3 ? 2 : 1;
+      for (int j = 0; j < arity; ++j) {
+        atom.args.push_back(static_cast<Element>(
+            rng.NextBelow(static_cast<uint64_t>(n))));
+      }
+      return atom;
+    };
+    GroundAtom certainly_true = random_atom();
+    while (observed.AtomTrue(certainly_true.relation, certainly_true.args)) {
+      certainly_true = random_atom();
     }
     UnreliableDatabase db(std::move(observed));
     // Perturb a handful of atoms (present or absent alike), keeping the
     // uncertain count far below the 2^u enumeration ceiling.
     for (int i = 0; i < 6; ++i) {
-      GroundAtom atom;
-      atom.relation = static_cast<int>(rng.NextBelow(3));
-      int arity = atom.relation == 0 ? 2 : 1;
-      for (int j = 0; j < arity; ++j) {
-        atom.args.push_back(static_cast<int>(rng.NextBelow(n)));
-      }
-      db.SetErrorProbability(atom,
+      db.SetErrorProbability(random_atom(),
                              Rational(static_cast<int>(rng.NextBelow(5)), 4));
     }
+    db.SetErrorProbability(random_atom(), Rational(0));
+    db.SetErrorProbability(certainly_true, Rational(1));
     for (const char* query : kSafeQueries) {
       ExpectBitIdentical(MustParse(query), db,
-                         "round " + std::to_string(round) + ": " + query);
+                         "round " + std::to_string(round) + " (n = " +
+                             std::to_string(n) + "): " + query);
     }
   }
 }

@@ -264,6 +264,29 @@ TEST(ServerTest, ZeroFixedSamplesIsATypedErrorAndNothingIsCached) {
   EXPECT_EQ(stats->Field("cache_hits").value_or(""), "0");
 }
 
+TEST(ServerTest, OutOfRangeConstantIsATypedErrorAndNothingIsCached) {
+  QrelServer server(TestEngine(), ServerOptions{});
+  // Universe {0, 1, 2}: the constant 7 names no element. Evaluating the
+  // atom E(x, 7) used to abort the whole server process.
+  for (const char* payload : {"QUERY\nexists x . E(x, 7) & S(x)",
+                              "EXPLAIN\nexists x . E(x, 7) & S(x)"}) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      StatusOr<Response> response =
+          ParseResponse(server.HandlePayload(payload));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument)
+          << payload;
+      EXPECT_NE(response->status.message().find("constant-out-of-range"),
+                std::string::npos)
+          << response->status.ToString();
+    }
+  }
+  StatusOr<Response> stats = ParseResponse(server.HandlePayload("STATS"));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->Field("cache_entries").value_or(""), "0");
+  EXPECT_EQ(stats->Field("cache_hits").value_or(""), "0");
+}
+
 TEST(ServerTest, CacheReplaysIdenticalQueriesAndKeysOnOptions) {
   QrelServer server(TestEngine(), ServerOptions{});
   Request request = QueryRequest("exists x y . E(x,y) & S(y)");
