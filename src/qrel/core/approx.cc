@@ -49,6 +49,13 @@ Status ReadTuple(SnapshotReader& reader, int n, int k, Tuple* tuple,
   return Status::Ok();
 }
 
+// PaddedSampleBound before the conversion to an integer count, so a plan
+// past 2^64 can be refused instead of overflowing.
+double PaddedSampleCount(double xi, double epsilon, double delta) {
+  return std::ceil(9.0 / (2.0 * xi * epsilon * epsilon) *
+                   std::log(1.0 / delta));
+}
+
 // One FPTRAS estimate of ν(ψ(ā)) from an already-computed prenex form.
 StatusOr<ApproxResult> FptrasFromPrenex(const PrenexExistential& prenex,
                                         const UnreliableDatabase& db,
@@ -134,9 +141,9 @@ Status ValidateApproxOptions(const ApproxOptions& options) {
 }
 
 uint64_t PaddedSampleBound(double xi, double epsilon, double delta) {
-  double t = 9.0 / (2.0 * xi * epsilon * epsilon) * std::log(1.0 / delta);
-  QREL_CHECK(std::isfinite(t));
-  return static_cast<uint64_t>(std::ceil(t));
+  double t = PaddedSampleCount(xi, epsilon, delta);
+  QREL_CHECK(t < 0x1p64);
+  return static_cast<uint64_t>(t);
 }
 
 double PaddedAchievedEpsilon(double xi, uint64_t samples, double delta) {
@@ -299,130 +306,186 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   return result;
 }
 
+StatusOr<ApproxResult> PaddedEstimate(const PaddedQuery& query,
+                                      const UnreliableDatabase& db,
+                                      const ApproxOptions& options) {
+  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
+  int n = db.universe_size();
+  int k = query.arity;
+  StatusOr<uint64_t> tuple_count = TupleCount(n, k);
+  if (!tuple_count.ok()) {
+    return tuple_count.status();
+  }
+  const uint64_t count = *tuple_count;
+  const double tuples = static_cast<double>(count);
+  double per_delta = options.delta / tuples;
+  // Lemma 5.11 is applied with ε/2 (the proof's final step).
+  double bound =
+      PaddedSampleCount(options.xi, options.epsilon / tuples / 2.0, per_delta);
+  if (!options.fixed_samples.has_value() && !(bound < 0x1p64)) {
+    return Status::OutOfRange("padded sample plan exceeds 2^64 samples");
+  }
+  uint64_t planned = options.fixed_samples.has_value()
+                         ? *options.fixed_samples
+                         : static_cast<uint64_t>(bound);
+
+  // Claimed before `observed` runs, so a checkpointed evaluation inside it
+  // (a Datalog fixpoint) stays inert; granularity is one sample.
+  Fingerprint fingerprint;
+  fingerprint.Mix(query.kind)
+      .Mix(query.identity)
+      .Mix(options.seed)
+      .Mix(static_cast<uint64_t>(n))
+      .Mix(static_cast<uint64_t>(k))
+      .MixDouble(options.xi)
+      .Mix(planned)
+      .Mix(static_cast<uint64_t>(db.model().entry_count()))
+      .Mix(db.ContentFingerprint());
+  GovernedLoop loop(options.run_context,
+                    {.kind = query.kind,
+                     .fingerprint = fingerprint.value(),
+                     .end = planned,
+                     .fault_site = query.fault_site,
+                     .allow_truncation = options.allow_truncation});
+
+  std::vector<bool> observed(count);
+  QREL_RETURN_IF_ERROR(query.observed(&observed));
+
+  const double xi = options.xi;
+  Rng rng(options.seed);
+  std::vector<uint64_t> hits(count, 0);
+  // Payload: samples drawn, the per-tuple hit counters, the RNG.
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* drawn) {
+    QREL_RETURN_IF_ERROR(r.U64(drawn));
+    uint32_t hit_count = 0;
+    QREL_RETURN_IF_ERROR(r.U32(&hit_count));
+    if (hit_count != hits.size()) {
+      return Status::DataLoss("snapshot hit-counter count mismatch");
+    }
+    for (uint64_t& h : hits) {
+      QREL_RETURN_IF_ERROR(r.U64(&h));
+    }
+    return r.RngState(&rng);
+  }));
+
+  // Per-sample buffers, reused so that a sample allocates only its world.
+  Tuple tuple(static_cast<size_t>(k), 0);
+  std::vector<uint64_t> rc_hits;     // tuples with Rd ∧ Rc: X = 1
+  std::vector<uint64_t> needed;      // tuples with Rd ∧ ¬Rc: X = ψ
+  std::vector<Tuple> needed_tuples;  // their tuples in the first
+                                     // needed.size() slots
+  std::vector<bool> holds;
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [&](SnapshotWriter& w, uint64_t drawn) {
+        w.U64(drawn);
+        w.U32(static_cast<uint32_t>(hits.size()));
+        for (uint64_t h : hits) {
+          w.U64(h);
+        }
+        w.RngState(rng);
+      },
+      [&](uint64_t) -> Status {
+        // X_i = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database:
+        // the fresh atoms Rc, Rd are virtual — each an independent
+        // Bernoulli(ξ) draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ.
+        // ψ' is false whatever ψ is unless Rd holds, and true when Rc does.
+        rc_hits.clear();
+        needed.clear();
+        std::fill(tuple.begin(), tuple.end(), 0);
+        for (uint64_t i = 0; i < count; ++i) {
+          if (i > 0) {
+            AdvanceTuple(&tuple, n);
+          }
+          if (!rng.NextBernoulli(xi)) {
+            continue;
+          }
+          if (rng.NextBernoulli(xi)) {
+            rc_hits.push_back(i);
+            continue;
+          }
+          if (needed.size() == needed_tuples.size()) {
+            needed_tuples.push_back(tuple);
+          } else {
+            needed_tuples[needed.size()] = tuple;
+          }
+          needed.push_back(i);
+        }
+        if (!needed.empty()) {
+          World world = db.SampleWorld(&rng);
+          holds.assign(needed.size(), false);
+          QREL_RETURN_IF_ERROR(query.holds(
+              WorldView(db, world),
+              std::span<const Tuple>(needed_tuples.data(), needed.size()),
+              &holds));
+          for (size_t j = 0; j < needed.size(); ++j) {
+            if (holds[j]) {
+              ++hits[needed[j]];
+            }
+          }
+        }
+        // Folded in only now: a sample whose world evaluation tripped the
+        // budget leaves no trace, so a truncated run is a clean prefix.
+        for (uint64_t i : rc_hits) {
+          ++hits[i];
+        }
+        return Status::Ok();
+      }));
+  uint64_t drawn = loop.next();
+
+  // Invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in the proof) per tuple and
+  // fold its error in.
+  double expected_error = 0.0;
+  for (uint64_t i = 0; i < count; ++i) {
+    double x_bar = static_cast<double>(hits[i]) / static_cast<double>(drawn);
+    double nu = std::clamp((x_bar - xi * xi) / (xi - xi * xi), 0.0, 1.0);
+    expected_error += observed[i] ? 1.0 - nu : nu;
+  }
+  ApproxResult result;
+  result.samples = drawn;
+  result.truncated = loop.truncated();
+  if (static_cast<double>(drawn) < bound) {
+    // A fixed or truncated plan below the theorem bound: report the
+    // guarantee the drawn samples buy, scaled back up through the
+    // per-tuple split.
+    result.achieved_epsilon =
+        PaddedAchievedEpsilon(xi, drawn, per_delta) * tuples;
+  }
+  result.estimate = std::clamp(1.0 - expected_error / tuples, 0.0, 1.0);
+  result.method = query.method;
+  return result;
+}
+
 StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
                                                const UnreliableDatabase& db,
                                                const ApproxOptions& options) {
-  QREL_RETURN_IF_ERROR(ValidateApproxOptions(options));
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   if (!compiled.ok()) {
     return compiled.status();
   }
-  int n = db.universe_size();
-  int k = compiled->arity();
-  StatusOr<uint64_t> tuple_count = TupleCount(n, k);
-  if (!tuple_count.ok()) {
-    return tuple_count.status();
-  }
-
-  double per_epsilon = options.epsilon / static_cast<double>(*tuple_count);
-  double per_delta = options.delta / static_cast<double>(*tuple_count);
-  // Lemma 5.11 is applied with ε/2 (the proof's final step).
-  uint64_t per_samples =
-      options.fixed_samples.has_value()
-          ? *options.fixed_samples
-          : PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta);
-  if (per_samples > UINT64_MAX / *tuple_count) {
-    return Status::OutOfRange("padded sample plan exceeds 2^64 samples");
-  }
-
-  Fingerprint fingerprint;
-  fingerprint.Mix("core.padded")
-      .Mix(options.seed)
-      .Mix(static_cast<uint64_t>(n))
-      .Mix(static_cast<uint64_t>(k))
-      .MixDouble(options.xi)
-      .Mix(per_samples)
-      .Mix(static_cast<uint64_t>(db.model().entry_count()))
-      .Mix(query->ToString())
-      .Mix(db.ContentFingerprint());
-  // One iteration per (tuple, sample) pair, tuple-major: iteration i draws
-  // sample i mod per_samples of tuple number i / per_samples.
-  GovernedLoop loop(options.run_context,
-                    {.kind = "core.padded.v1",
-                     .fingerprint = fingerprint.value(),
-                     .end = *tuple_count * per_samples,
-                     .fault_site = "core.approx.padded_sample"});
-
-  const double xi = options.xi;
-  Rng rng(options.seed);
-  double expected_error = 0.0;
-  uint64_t samples = 0;
-  Tuple assignment(static_cast<size_t>(k), 0);
-  uint64_t s = 0;     // sample index within the current tuple
-  uint64_t hits = 0;  // the current tuple's hits so far
-  // Payload: the current tuple and its sample index and hits, then the
-  // accumulators over finished tuples, then the RNG.
-  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* next) {
-    uint64_t rank = 0;
-    QREL_RETURN_IF_ERROR(ReadTuple(r, n, k, &assignment, &rank));
-    QREL_RETURN_IF_ERROR(r.U64(&s));
-    if (s >= per_samples) {
-      return Status::DataLoss("snapshot sample index out of range");
+  const int n = db.universe_size();
+  PaddedQuery padded;
+  padded.arity = compiled->arity();
+  padded.observed = [&](std::vector<bool>* observed) {
+    Tuple tuple(static_cast<size_t>(padded.arity), 0);
+    for (size_t i = 0; i < observed->size(); ++i, AdvanceTuple(&tuple, n)) {
+      (*observed)[i] = compiled->Eval(db.observed(), tuple);
     }
-    QREL_RETURN_IF_ERROR(r.U64(&hits));
-    QREL_RETURN_IF_ERROR(r.U64(&samples));
-    QREL_RETURN_IF_ERROR(r.Double(&expected_error));
-    *next = rank * per_samples + s;
-    return r.RngState(&rng);
-  }));
-  QREL_RETURN_IF_ERROR(loop.Run(
-      [&](SnapshotWriter& w, uint64_t) {
-        w.TupleVal(assignment);
-        w.U64(s);
-        w.U64(hits);
-        w.U64(samples);
-        w.Double(expected_error);
-        w.RngState(rng);
-      },
-      [&](uint64_t) {
-        // X_i = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database:
-        // the two fresh atoms Rc, Rd are virtual — each is an independent
-        // Bernoulli(ξ) draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ.
-        // ψ' is false whatever ψ evaluates to unless Rd holds.
-        if (rng.NextBernoulli(xi)) {
-          bool psi_true = rng.NextBernoulli(xi);  // Rc
-          if (!psi_true) {
-            World world = db.SampleWorld(&rng);
-            WorldView view(db, world);
-            psi_true = compiled->Eval(view, assignment);
-          }
-          if (psi_true) {
-            ++hits;
-          }
-        }
-        if (++s < per_samples) {
-          return Status::Ok();
-        }
-        // Tuple finished: invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in
-        // the proof) and fold its error in.
-        samples += per_samples;
-        double x_bar =
-            static_cast<double>(hits) / static_cast<double>(per_samples);
-        double nu = std::clamp((x_bar - xi * xi) / (xi - xi * xi), 0.0, 1.0);
-        bool observed = compiled->Eval(db.observed(), assignment);
-        expected_error += observed ? 1.0 - nu : nu;
-        s = 0;
-        hits = 0;
-        AdvanceTuple(&assignment, n);
-        return Status::Ok();
-      }));
-
-  ApproxResult result;
-  result.samples = samples;
-  if (per_samples <
-      PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
-    // fixed_samples below the theorem bound: report the guarantee the
-    // budget actually buys, scaled back up through the per-tuple split.
-    result.achieved_epsilon =
-        PaddedAchievedEpsilon(options.xi, per_samples, per_delta) *
-        static_cast<double>(*tuple_count);
-  }
-  result.estimate =
-      1.0 - expected_error / static_cast<double>(*tuple_count);
-  result.estimate = std::clamp(result.estimate, 0.0, 1.0);
-  result.method = "Thm 5.12 padded estimator (xi=" + std::to_string(xi) + ")";
-  return result;
+    return Status::Ok();
+  };
+  padded.holds = [&](const WorldView& world, std::span<const Tuple> needed,
+                     std::vector<bool>* holds) {
+    for (size_t j = 0; j < needed.size(); ++j) {
+      (*holds)[j] = compiled->Eval(world, needed[j]);
+    }
+    return Status::Ok();
+  };
+  padded.kind = "core.padded.v2";
+  padded.fault_site = "core.approx.padded_sample";
+  padded.identity = Fingerprint().Mix(query->ToString()).value();
+  padded.method =
+      "Thm 5.12 padded estimator (xi=" + std::to_string(options.xi) + ")";
+  return PaddedEstimate(padded, db, options);
 }
 
 }  // namespace qrel

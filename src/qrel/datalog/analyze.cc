@@ -54,52 +54,6 @@ class ArityTable {
   std::vector<Diagnostic>* diagnostics_;
 };
 
-// Mirrors eval.cc's relaxation: stratum(head) >= stratum(positive IDB body
-// atom) and >= stratum(negated IDB body atom) + 1. A stratum exceeding the
-// IDB count proves a negative cycle.
-void CheckStratification(const DatalogProgram& program,
-                         const std::vector<std::string>& idb,
-                         std::vector<Diagnostic>* diagnostics) {
-  std::map<std::string, int> stratum;
-  for (const std::string& predicate : idb) {
-    stratum[predicate] = 0;
-  }
-  std::set<std::string> reported;
-  int idb_count = static_cast<int>(idb.size());
-  bool changed = true;
-  for (int round = 0; changed && round <= idb_count * idb_count + 1;
-       ++round) {
-    changed = false;
-    for (const DatalogRule& rule : program.rules) {
-      int& head_stratum = stratum[rule.head.relation];
-      for (const DatalogLiteral& literal : rule.body) {
-        if (!Contains(idb, literal.atom.relation)) {
-          continue;
-        }
-        int required =
-            stratum[literal.atom.relation] + (literal.positive ? 0 : 1);
-        if (head_stratum < required) {
-          head_stratum = required;
-          changed = true;
-          if (head_stratum > idb_count) {
-            if (reported.insert(rule.head.relation).second) {
-              diagnostics->push_back(MakeError(
-                  "unstratifiable-cycle",
-                  "predicate '" + rule.head.relation +
-                      "' depends negatively on itself; the program is not "
-                      "stratified",
-                  rule.range));
-            }
-            // Pin the stratum so the relaxation terminates and other
-            // cycles still get their own report.
-            head_stratum = idb_count;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Head predicates that cannot reach `query_predicate` in the dependency
 // graph never influence the query's answer set.
 void CheckReachability(const DatalogProgram& program,
@@ -257,7 +211,14 @@ DatalogAnalysis AnalyzeDatalogProgram(const DatalogProgram& program,
     }
   }
 
-  CheckStratification(program, idb, diagnostics);
+  for (size_t r : StratifyDatalogProgram(program).negative_cycles) {
+    const DatalogRule& rule = program.rules[r];
+    diagnostics->push_back(MakeError(
+        "unstratifiable-cycle",
+        "predicate '" + rule.head.relation +
+            "' depends negatively on itself; the program is not stratified",
+        rule.range));
+  }
 
   if (!query_predicate.empty()) {
     if (vocabulary != nullptr && !Contains(idb, query_predicate) &&

@@ -126,36 +126,14 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
     }
   }
 
-  // Stratification by relaxation: stratum(head) >= stratum(positive IDB
-  // body atom) and >= stratum(negated IDB body atom) + 1.
-  for (const std::string& predicate : idb) {
-    compiled.idb_stratum_[predicate] = 0;
+  DatalogStrata strata = StratifyDatalogProgram(program);
+  if (!strata.negative_cycles.empty()) {
+    return Status::InvalidArgument(
+        "program is not stratified: predicate '" +
+        program.rules[strata.negative_cycles.front()].head.relation +
+        "' depends negatively on itself");
   }
-  int idb_count = static_cast<int>(idb.size());
-  bool changed = true;
-  for (int round = 0; changed && round <= idb_count * idb_count + 1;
-       ++round) {
-    changed = false;
-    for (const DatalogRule& rule : program.rules) {
-      int& head_stratum = compiled.idb_stratum_[rule.head.relation];
-      for (const DatalogLiteral& literal : rule.body) {
-        if (!is_idb(literal.atom.relation)) {
-          continue;
-        }
-        int required = compiled.idb_stratum_[literal.atom.relation] +
-                       (literal.positive ? 0 : 1);
-        if (head_stratum < required) {
-          head_stratum = required;
-          changed = true;
-          if (head_stratum > idb_count) {
-            return Status::InvalidArgument(
-                "program is not stratified: predicate '" +
-                rule.head.relation + "' depends negatively on itself");
-          }
-        }
-      }
-    }
-  }
+  compiled.idb_stratum_ = std::move(strata.stratum);
   for (const auto& [predicate, stratum] : compiled.idb_stratum_) {
     compiled.stratum_count_ =
         std::max(compiled.stratum_count_, stratum + 1);

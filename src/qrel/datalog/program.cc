@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 
 namespace qrel {
 
@@ -36,6 +37,46 @@ std::vector<std::string> DatalogProgram::IdbPredicates() const {
     }
   }
   return result;
+}
+
+DatalogStrata StratifyDatalogProgram(const DatalogProgram& program) {
+  const std::vector<std::string> idb = program.IdbPredicates();
+  auto is_idb = [&idb](const std::string& name) {
+    return std::find(idb.begin(), idb.end(), name) != idb.end();
+  };
+  DatalogStrata strata;
+  for (const std::string& predicate : idb) {
+    strata.stratum[predicate] = 0;
+  }
+  std::set<std::string> cyclic;
+  int idb_count = static_cast<int>(idb.size());
+  bool changed = true;
+  for (int round = 0; changed && round <= idb_count * idb_count + 1;
+       ++round) {
+    changed = false;
+    for (size_t r = 0; r < program.rules.size(); ++r) {
+      const DatalogRule& rule = program.rules[r];
+      int& head_stratum = strata.stratum[rule.head.relation];
+      for (const DatalogLiteral& literal : rule.body) {
+        if (!is_idb(literal.atom.relation)) {
+          continue;
+        }
+        int required =
+            strata.stratum[literal.atom.relation] + (literal.positive ? 0 : 1);
+        if (head_stratum < required) {
+          head_stratum = required;
+          changed = true;
+          if (head_stratum > idb_count) {
+            if (cyclic.insert(rule.head.relation).second) {
+              strata.negative_cycles.push_back(r);
+            }
+            head_stratum = idb_count;
+          }
+        }
+      }
+    }
+  }
+  return strata;
 }
 
 std::string DatalogProgram::ToString() const {

@@ -21,6 +21,7 @@
 #ifndef QREL_DATALOG_PROGRAM_H_
 #define QREL_DATALOG_PROGRAM_H_
 
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,6 +69,20 @@ struct DatalogProgram {
 
   std::string ToString() const;
 };
+
+// The strata of a program's intensional predicates, by relaxation from 0:
+// stratum(head) >= stratum(positive IDB body atom) and >= stratum(negated
+// IDB body atom) + 1. A stratum above the IDB count proves a negative
+// cycle: the rule that pushed its head past it is recorded (once per head,
+// in detection order) and the stratum pinned at the IDB count, so the
+// relaxation terminates and every cycle is found. CompiledDatalog::Compile
+// and AnalyzeDatalogProgram both stratify with it.
+struct DatalogStrata {
+  std::map<std::string, int> stratum;  // every IDB predicate
+  // Indices into program.rules; empty iff the program is stratified.
+  std::vector<size_t> negative_cycles;
+};
+DatalogStrata StratifyDatalogProgram(const DatalogProgram& program);
 
 // Parses a program (sequence of rules terminated by '.'; '%' or '#'
 // comments to end of line are not supported — use blank space).

@@ -6,7 +6,8 @@
 //     "in particular, this includes all Datalog queries" remark);
 //   * Theorem 5.12 — the padded (ψ ∨ Rc) ∧ Rd estimator gives an
 //     absolute-error randomized approximation, since it only needs to
-//     *evaluate* the query on sampled worlds.
+//     *evaluate* the query on sampled worlds; the shared estimator in
+//     core/approx.h runs it with a fixpoint as the evaluator.
 // The query is one predicate of the program; its materialized relation is
 // the answer set whose expected Hamming error defines H and R.
 
@@ -30,15 +31,13 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, RunContext* ctx = nullptr);
 
-// Theorem 5.12 estimator for Datalog: samples worlds, evaluates the
-// program on each, and applies the ξ-padding inversion per answer tuple.
-// Worlds are shared across tuples (each per-tuple estimate stays unbiased
-// and Lemma 5.11 applies marginally; the union bound over tuples is
-// unaffected by correlation). Absolute error `options.epsilon` on R with
-// probability ≥ 1 − options.delta. Respects options.run_context (one unit
-// per sampled world); because worlds are shared across tuples, a prefix of
-// completed worlds is usable for every tuple, so options.allow_truncation
-// applies here even for k-ary predicates.
+// Theorem 5.12 estimator for Datalog: the Datalog front end of
+// PaddedEstimate (core/approx.h). A sampled world that some tuple needs is
+// evaluated with one fixpoint, and each needed tuple is looked up in the
+// predicate's relation. Absolute error `options.epsilon` on R with
+// probability ≥ 1 − options.delta. Charges one work unit per sample plus
+// the fixpoints' own per-node charges; options.allow_truncation applies at
+// every arity.
 StatusOr<ApproxResult> PaddedDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, const ApproxOptions& options);

@@ -488,9 +488,6 @@ StatusOr<EngineReport> ReliabilityEngine::RunDatalogImpl(
     QREL_FAULT_SITE("engine.datalog.exact");
     return ExactDatalogReliability(*compiled, predicate, database_, ctx);
   };
-  // Datalog's padded estimator shares each sampled world across all
-  // tuples, so a truncated prefix of worlds is sound (see
-  // datalog/reliability.h).
   auto sample = [&](const ApproxOptions& approx) -> StatusOr<ApproxResult> {
     QREL_FAULT_SITE("engine.datalog.padded");
     return PaddedDatalogReliability(*compiled, predicate, database_, approx);

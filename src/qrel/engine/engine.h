@@ -126,8 +126,9 @@ struct EngineOptions {
   // answer is honored even at the price of a budget error.
   bool degrade_on_budget = true;
 
-  // Per-Boolean-sub-estimate sample count for the last-resort padded rung,
-  // which runs ungoverned so a degraded run still returns an estimate.
+  // Sampled worlds (shared by every answer tuple) for the last-resort
+  // padded rung, which runs ungoverned so a degraded run still returns an
+  // estimate.
   uint64_t reserve_samples = 384;
 };
 

@@ -2,10 +2,10 @@
 // budget, fault-injection and truncation plumbing shared by every
 // checkpointed sampler and enumerator — Thm 4.2 world enumeration (core,
 // Datalog and propositional brute force), the Karp-Luby and naive Monte
-// Carlo samplers, the Cor 5.5 tuple loop, the Thm 5.12 padded estimators
-// (core and Datalog) and the absolute-reliability falsifier. Each of them
-// keeps only its fingerprint, its payload fields, its per-iteration body
-// and its finish step.
+// Carlo samplers, the Cor 5.5 tuple loop, the Thm 5.12 padded estimator
+// (one loop for first-order and Datalog queries, core/approx.h) and the
+// absolute-reliability falsifier. Each of them keeps only its fingerprint,
+// its payload fields, its per-iteration body and its finish step.
 //
 // Every iteration i in [next(), end) runs the same four steps in one fixed
 // order:

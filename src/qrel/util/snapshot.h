@@ -19,7 +19,7 @@
 //    algorithm. Two places construct one: the GovernedLoop kernel
 //    (util/governed_loop.h), which runs exact world enumeration (core,
 //    Datalog, propositional brute force), Karp-Luby and naive-MC sampling,
-//    the Cor 5.5 tuple loop, the core and Datalog padded estimators and
+//    the Cor 5.5 tuple loop, the Thm 5.12 padded estimator and
 //    the absolute-reliability falsifier; and the Datalog fixpoint, whose
 //    state is a stratum and round frontier rather than an index. The
 //    scope serializes loop state — counters, accumulators, the full RNG

@@ -1,7 +1,9 @@
 #include "qrel/core/approx.h"
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +223,116 @@ TEST(PaddedTest, XiAblationAllValuesConverge) {
     options.fixed_samples = 200000;
     ApproxResult result = *PaddedReliabilityApprox(query, db, options);
     EXPECT_NEAR(result.estimate, exact, 0.03) << "xi = " << xi;
+  }
+}
+
+// Boolean first-order padded runs recorded by the build before the
+// first-order and Datalog estimators were merged (tuple-major loop, one
+// world per sample). A Boolean query has one tuple, so the shared
+// world-major loop draws Rd, Rc and the world in the same order and must
+// reproduce every field bit for bit.
+TEST(PaddedTest, BooleanRunsMatchTheRecordedResults) {
+  struct Recorded {
+    const char* query;
+    uint64_t seed;
+    double xi;
+    uint64_t fixed_samples;  // 0: the theorem-derived plan
+    double epsilon;
+    double delta;
+    const char* estimate;  // %a
+    uint64_t samples;
+    const char* achieved_epsilon;  // %a, or "-" when unset
+    const char* method;
+  };
+  const Recorded kRecorded[] = {
+      {"exists x . S(x)", 1, 0.25, 0, 0.2, 0.1, "0x1.c097854d19381p-1", 4145,
+       "-", "Thm 5.12 padded estimator (xi=0.250000)"},
+      {"exists x . S(x)", 808, 0.1, 500, 0.05, 0.05, "0x1.bbbbbbbbbbbbbp-1",
+       500, "0x1.09da8c5127cc2p+0", "Thm 5.12 padded estimator (xi=0.100000)"},
+      {"forall x . S(x) | !E(x, x)", 4242, 0.25, 3000, 0.05, 0.05,
+       "0x1.91dcf4d98b095p-1", 3000, "0x1.129290f54785ap-2",
+       "Thm 5.12 padded estimator (xi=0.250000)"},
+      {"forall x . S(x) | !E(x, x)", 7, 0.45, 0, 0.3, 0.2,
+       "0x1.c2bf95ad2a751p-1", 716, "-",
+       "Thm 5.12 padded estimator (xi=0.450000)"},
+      {"forall x . S(x) -> (exists y . E(x, y))", 99, 0.25, 0, 0.15, 0.1,
+       "0x1.7b3f1394f43f1p-1", 7369, "-",
+       "Thm 5.12 padded estimator (xi=0.250000)"},
+      {"forall x . S(x) -> (exists y . E(x, y))", 11, 0.05, 1000, 0.1, 0.1,
+       "0x1.dfa9c4b73dfa9p-1", 1000, "0x1.d2275341ba12p-1",
+       "Thm 5.12 padded estimator (xi=0.050000)"},
+      {"exists x y . E(x, y) & S(y)", 2024, 0.35, 0, 0.25, 0.05,
+       "0x1.406cc92286f23p-1", 2466, "-",
+       "Thm 5.12 padded estimator (xi=0.350000)"},
+      {"exists x y . E(x, y) & S(y)", 3, 0.25, 64, 0.3, 0.3,
+       "0x1.2aaaaaaaaaaaap-1", 64, "0x1.29efe4d5e00b5p+0",
+       "Thm 5.12 padded estimator (xi=0.250000)"},
+  };
+  auto hex = [](double value) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%a", value);
+    return std::string(buffer);
+  };
+  UnreliableDatabase db = SmallDatabase();
+  for (const Recorded& recorded : kRecorded) {
+    SCOPED_TRACE(std::string(recorded.query) + " seed " +
+                 std::to_string(recorded.seed));
+    ApproxOptions options;
+    options.seed = recorded.seed;
+    options.xi = recorded.xi;
+    options.epsilon = recorded.epsilon;
+    options.delta = recorded.delta;
+    if (recorded.fixed_samples > 0) {
+      options.fixed_samples = recorded.fixed_samples;
+    }
+    StatusOr<ApproxResult> result =
+        PaddedReliabilityApprox(MustParse(recorded.query), db, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(hex(result->estimate), recorded.estimate);
+    EXPECT_EQ(result->samples, recorded.samples);
+    EXPECT_EQ(result->achieved_epsilon.has_value()
+                  ? hex(*result->achieved_epsilon)
+                  : std::string("-"),
+              recorded.achieved_epsilon);
+    EXPECT_EQ(result->method, recorded.method);
+    EXPECT_FALSE(result->truncated);
+  }
+}
+
+// Each sampled world counts for every tuple, so a budget trip keeps a
+// usable prefix at any arity: the estimate comes back marked truncated
+// with the error bar its samples buy. Without allow_truncation the trip
+// is the run's status.
+TEST(PaddedTest, WorkBudgetTruncatesMidRunAtEveryArity) {
+  UnreliableDatabase db = SmallDatabase();
+  for (const std::string text :
+       {"forall x . S(x) -> (exists y . E(x, y))",
+        "forall y . E(x, y) -> (exists z . E(y, z))"}) {
+    SCOPED_TRACE(text);
+    ApproxOptions options;
+    options.seed = 3;
+    options.fixed_samples = 1000;
+    options.allow_truncation = true;
+    // One work unit per sample: the 301st sample trips the budget.
+    RunContext ctx = RunContext::WithWorkBudget(300);
+    options.run_context = &ctx;
+    StatusOr<ApproxResult> result =
+        PaddedReliabilityApprox(MustParse(text), db, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->truncated);
+    EXPECT_EQ(result->samples, 300u);
+    ASSERT_TRUE(result->achieved_epsilon.has_value());
+    EXPECT_GT(*result->achieved_epsilon, options.epsilon);
+    EXPECT_GE(result->estimate, 0.0);
+    EXPECT_LE(result->estimate, 1.0);
+
+    RunContext strict = RunContext::WithWorkBudget(300);
+    options.run_context = &strict;
+    options.allow_truncation = false;
+    EXPECT_EQ(PaddedReliabilityApprox(MustParse(text), db, options)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted);
   }
 }
 

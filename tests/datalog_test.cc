@@ -1,10 +1,13 @@
 #include <memory>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "qrel/datalog/eval.h"
 #include "qrel/datalog/program.h"
 #include "qrel/datalog/reliability.h"
+#include "qrel/logic/parser.h"
 #include "qrel/util/rng.h"
 
 namespace qrel {
@@ -232,6 +235,85 @@ TEST(DatalogReliabilityTest, PaddedEstimatorMatchesExact) {
   ApproxResult estimate =
       *PaddedDatalogReliability(program, "Path", db, options);
   EXPECT_NEAR(estimate.estimate, exact, 0.03);
+}
+
+// Both front ends run the one Thm 5.12 estimator, so a first-order query
+// and an equivalent Datalog predicate draw the same Rd, Rc and worlds and
+// give the same result to the last bit; only the method string differs.
+TEST(DatalogReliabilityTest, PaddedMatchesTheEquivalentFirstOrderQuery) {
+  UnreliableDatabase db = UnreliablePathGraph();
+  db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 2));  // Node(1)
+  struct Pair {
+    const char* formula;
+    const char* program;
+    std::optional<uint64_t> fixed_samples;
+  };
+  const Pair kPairs[] = {
+      {"exists y . Node(x) & E(x, y)", "Q(x) :- Node(x), E(x, y).",
+       std::nullopt},
+      {"E(x, y) | (exists z . E(x, z) & E(z, y))",
+       "Q(x, y) :- E(x, y).\nQ(x, y) :- E(x, z), E(z, y).", 3000},
+  };
+  for (const Pair& pair : kPairs) {
+    SCOPED_TRACE(pair.formula);
+    CompiledDatalog program =
+        std::move(CompiledDatalog::Compile(*ParseDatalogProgram(pair.program),
+                                           db.vocabulary()))
+            .value();
+    ApproxOptions options;
+    options.seed = 31;
+    options.epsilon = 0.3;
+    options.delta = 0.3;
+    options.fixed_samples = pair.fixed_samples;
+    StatusOr<ApproxResult> first_order =
+        PaddedReliabilityApprox(*ParseFormula(pair.formula), db, options);
+    ASSERT_TRUE(first_order.ok()) << first_order.status().ToString();
+    StatusOr<ApproxResult> datalog =
+        PaddedDatalogReliability(program, "Q", db, options);
+    ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
+    EXPECT_EQ(datalog->estimate, first_order->estimate);
+    EXPECT_EQ(datalog->samples, first_order->samples);
+    EXPECT_EQ(datalog->achieved_epsilon, first_order->achieved_epsilon);
+    EXPECT_EQ(datalog->truncated, first_order->truncated);
+    EXPECT_GT(datalog->samples, 0u);
+    EXPECT_GT(datalog->estimate, 0.0);
+    EXPECT_LT(datalog->estimate, 1.0);
+  }
+}
+
+// A budget trip inside a world's fixpoint ends the run with the samples
+// completed before it: the truncated result equals a run planned at
+// exactly that many samples, so the interrupted sample's Rc draws leave no
+// trace in the hit counts.
+TEST(DatalogReliabilityTest, PaddedTruncationKeepsExactlyTheCompletedSamples) {
+  UnreliableDatabase db = UnreliablePathGraph();
+  CompiledDatalog program =
+      std::move(CompiledDatalog::Compile(*ParseDatalogProgram(kReachability),
+                                         db.vocabulary()))
+          .value();
+  ApproxOptions options;
+  options.seed = 5;
+  options.fixed_samples = 400;
+  options.allow_truncation = true;
+  for (uint64_t budget = 300; budget < 340; ++budget) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    RunContext ctx = RunContext::WithWorkBudget(budget);
+    options.run_context = &ctx;
+    StatusOr<ApproxResult> truncated =
+        PaddedDatalogReliability(program, "Path", db, options);
+    ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
+    ASSERT_TRUE(truncated->truncated);
+    ASSERT_GT(truncated->samples, 0u);
+
+    ApproxOptions prefix = options;
+    prefix.run_context = nullptr;
+    prefix.fixed_samples = truncated->samples;
+    StatusOr<ApproxResult> planned =
+        PaddedDatalogReliability(program, "Path", db, prefix);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(truncated->estimate, planned->estimate);
+    EXPECT_EQ(truncated->achieved_epsilon, planned->achieved_epsilon);
+  }
 }
 
 TEST(DatalogReliabilityTest, NegationStratumReliability) {

@@ -119,6 +119,22 @@ inline ApproxOptions Approx(RunContext* ctx, uint64_t fixed_samples) {
   return options;
 }
 
+// The Thm 5.12 runs, shared by their current case and their retired kind.
+inline StatusOr<std::string> PaddedFirstOrderRun(RunContext* ctx) {
+  // Arity 1, 16 sampled worlds.
+  StatusOr<ApproxResult> result = PaddedReliabilityApprox(
+      std::move(ParseFormula("forall y . E(x,y) | S(x)")).value(), Database(),
+      Approx(ctx, 16));
+  return Render(result);
+}
+
+inline StatusOr<std::string> PaddedDatalogRun(RunContext* ctx) {
+  UnreliableDatabase db = Database();
+  StatusOr<ApproxResult> result =
+      PaddedDatalogReliability(Program(db), "Path", db, Approx(ctx, 64));
+  return Render(result);
+}
+
 inline std::vector<GoldenCase> Cases() {
   return {
       {"core.exact.v1",
@@ -180,16 +196,9 @@ inline std::vector<GoldenCase> Cases() {
          return Render(result);
        },
        "core.approx.tuple:5", 0},
-      {"core.padded.v1",
-       [](RunContext* ctx) -> StatusOr<std::string> {
-         // Arity 1 with 16 samples per tuple: the 21st sample is the
-         // fifth of the second tuple, so the snapshot is mid-tuple.
-         StatusOr<ApproxResult> result = PaddedReliabilityApprox(
-             std::move(ParseFormula("forall y . E(x,y) | S(x)")).value(),
-             Database(), Approx(ctx, 16));
-         return Render(result);
-       },
-       "core.approx.padded_sample:21", 0},
+      {"core.padded.v2", PaddedFirstOrderRun,
+       // 16 worlds shared by the three tuples: the snapshot is mid-run.
+       "core.approx.padded_sample:11", 0},
       {"core.absolute_mc.v1",
        [](RunContext* ctx) -> StatusOr<std::string> {
          // No uncertain diagonal atom: every one of the 200 samples runs.
@@ -203,14 +212,20 @@ inline std::vector<GoldenCase> Cases() {
                 " witness=" + std::to_string(result->witness.has_value());
        },
        "", 40},
-      {"datalog.padded.v1",
-       [](RunContext* ctx) -> StatusOr<std::string> {
-         UnreliableDatabase db = Database();
-         StatusOr<ApproxResult> result = PaddedDatalogReliability(
-             Program(db), "Path", db, Approx(ctx, 64));
-         return Render(result);
-       },
-       "datalog.padded.world:5", 0},
+      {"datalog.padded.v2", PaddedDatalogRun, "datalog.padded.world:37", 0},
+  };
+}
+
+// Kinds no current code reads: a run handed one of these snapshots must
+// leave it unconsumed (a foreign kind) and equal a fresh run. `run` is the
+// retired kind's successor; `fault_spec` and `work_budget` are unused
+// (the files were written by the build that still had the kind).
+inline std::vector<GoldenCase> RetiredCases() {
+  return {
+      // Superseded by core.padded.v2 and datalog.padded.v2 when the two
+      // Thm 5.12 loops became one world-major estimator.
+      {"core.padded.v1", PaddedFirstOrderRun, "", 0},
+      {"datalog.padded.v1", PaddedDatalogRun, "", 0},
   };
 }
 

@@ -3,6 +3,8 @@
 // resumed result and work counter must equal an uninterrupted run's bit
 // for bit. This is what keeps every `.v1` kind string honest — a payload
 // layout change must bump the kind, not silently misread old snapshots.
+// The snapshots of retired kinds stay committed too, and must be left
+// alone by the code that replaced them.
 
 #include <filesystem>
 #include <string>
@@ -15,9 +17,6 @@
 #include "temp_path.h"
 
 namespace qrel {
-namespace {
-
-}  // namespace
 
 namespace golden {
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.kind; }
@@ -64,15 +63,53 @@ TEST_P(GoldenSnapshotTest, ResumesBitIdentical) {
   std::filesystem::remove(path);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, GoldenSnapshotTest, ::testing::ValuesIn(golden::Cases()),
-    [](const ::testing::TestParamInfo<golden::GoldenCase>& info) {
-      std::string name = info.param.kind;
-      for (char& ch : name) {
-        if (ch == '.') ch = '_';
-      }
-      return name;
-    });
+std::string KindName(const ::testing::TestParamInfo<golden::GoldenCase>& info) {
+  std::string name = info.param.kind;
+  for (char& ch : name) {
+    if (ch == '.') ch = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, GoldenSnapshotTest,
+                         ::testing::ValuesIn(golden::Cases()), KindName);
+
+// A snapshot of a retired kind is another algorithm's progress to the
+// current code: the run must neither consume nor overwrite it, and must
+// equal a fresh run in result and work.
+class RetiredSnapshotTest : public GoldenSnapshotTest {};
+
+TEST_P(RetiredSnapshotTest, LeftUnconsumedAsAForeignKind) {
+  const golden::GoldenCase& c = GetParam();
+  const std::string golden_path =
+      std::string(QREL_TESTDATA_DIR) + "/snapshots/" + c.kind + ".snap";
+  StatusOr<SnapshotData> snapshot = ReadSnapshotFile(golden_path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->kind, c.kind);
+
+  RunContext fresh_ctx;
+  StatusOr<std::string> fresh = c.run(&fresh_ctx);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  const std::string path = TestTempPath(std::string(c.kind) + ".snap");
+  std::filesystem::copy_file(
+      golden_path, path, std::filesystem::copy_options::overwrite_existing);
+  Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+  ASSERT_TRUE(checkpointer.LoadForResume().ok());
+  RunContext ctx;
+  ctx.SetCheckpointer(&checkpointer);
+  StatusOr<std::string> run = c.run(&ctx);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(checkpointer.resume_consumed());
+  EXPECT_EQ(checkpointer.writes(), 0u) << "the foreign snapshot was overwritten";
+  EXPECT_EQ(*run, *fresh);
+  EXPECT_EQ(ctx.work_spent(), fresh_ctx.work_spent());
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(RetiredKinds, RetiredSnapshotTest,
+                         ::testing::ValuesIn(golden::RetiredCases()),
+                         KindName);
 
 }  // namespace
 }  // namespace qrel

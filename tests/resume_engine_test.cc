@@ -16,6 +16,7 @@
 #include "qrel/core/absolute.h"
 #include "qrel/datalog/eval.h"
 #include "qrel/datalog/program.h"
+#include "qrel/datalog/reliability.h"
 #include "qrel/engine/engine.h"
 #include "qrel/logic/parser.h"
 #include "qrel/prob/text_format.h"
@@ -476,6 +477,62 @@ TEST_F(ResumeEngineTest, ChangedSeedRefusesToResume) {
     ASSERT_FALSE(resumed.ok())
         << "resumed with a different seed instead of refusing";
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(ResumeEngineTest, ChangedSamplePlanRefusesToResume) {
+  // Two runs that differ only in ε and δ, so only in the sample count the
+  // Thm 5.12 estimator derives from them. A snapshot taken past the end of
+  // the smaller plan must be refused as another run's, not misread as a
+  // corrupt loop index (DataLoss) or, below that end, silently continued.
+  UnreliableDatabase db = MakeDatabase();
+  CompiledDatalog program =
+      std::move(CompiledDatalog::Compile(
+                    std::move(ParseDatalogProgram("Q() :- E(x, y), S(y)."))
+                        .value(),
+                    db.vocabulary()))
+          .value();
+  ApproxOptions options;
+  options.seed = 7;
+  options.epsilon = 0.2;
+  options.delta = 0.2;
+  const double small_epsilon = 0.95;
+  const double small_delta = 0.95;
+  // A Boolean predicate: one tuple, so no per-tuple split.
+  const uint64_t small_plan =
+      PaddedSampleBound(options.xi, small_epsilon / 2.0, small_delta);
+  ASSERT_LT(small_plan, 19u);
+  ASSERT_GT(PaddedSampleBound(options.xi, options.epsilon / 2.0,
+                              options.delta),
+            20u);
+
+  std::string path = SnapshotPath("resume_changed_plan.snapshot");
+  {
+    // The 20th sample faults, after the snapshot that resumes at sample
+    // index 19, past the smaller plan's end.
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    ASSERT_TRUE(ArmFaultFromSpec("datalog.padded.world:20").ok());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    options.run_context = &ctx;
+    ASSERT_FALSE(PaddedDatalogReliability(program, "Q", db, options).ok());
+    EXPECT_GT(checkpointer.writes(), 0u);
+    FaultInjector::Instance().Reset();
+  }
+  {
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    options.run_context = &ctx;
+    options.epsilon = small_epsilon;
+    options.delta = small_delta;
+    StatusOr<ApproxResult> resumed =
+        PaddedDatalogReliability(program, "Q", db, options);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().ToString();
   }
   std::remove(path.c_str());
 }
