@@ -17,7 +17,8 @@
 //   --seed=<n>         RNG seed (1)
 //   --force-exact      always enumerate worlds (Thm 4.2)
 //   --force-approx     never enumerate worlds
-//   --per-tuple        also print the per-tuple expected-error breakdown
+//   --per-tuple        also print the per-tuple expected-error breakdown,
+//                      under the same deadline, work budget and SIGINT
 //   --timeout-ms=<n>   wall-clock deadline; past it the engine degrades to
 //                      sampling (with --force-exact: fails instead)
 //   --max-work=<n>     work-unit budget (worlds/samples/clauses), same
@@ -331,6 +332,13 @@ int ListFaultSites() {
     (void)engine.RunDatalog(kDatalog, "Path", defaults);
     (void)engine.RunDatalog(kDatalog, "Path", sampled);
 
+    // The --per-tuple breakdown and the exact probability of one tuple.
+    StatusOr<FormulaPtr> per_tuple = ParseFormula("exists y . E(x,y) & S(y)");
+    if (per_tuple.ok()) {
+      (void)PerTupleExpectedError(*per_tuple, engine.database());
+      (void)ExactQueryProbability(*per_tuple, engine.database(), {0});
+    }
+
     // Trip a one-unit work budget mid-rung so the engine walks down to the
     // reserve rungs, which only register when actually reached.
     EngineOptions starved = sampled;
@@ -573,7 +581,8 @@ int main(int argc, char** argv) {
   if (per_tuple) {
     qrel::StatusOr<qrel::FormulaPtr> formula = qrel::ParseFormula(query);
     qrel::StatusOr<std::vector<qrel::TupleError>> breakdown =
-        qrel::PerTupleExpectedError(*formula, engine.database());
+        qrel::PerTupleExpectedError(*formula, engine.database(),
+                                    &run_context);
     if (!breakdown.ok()) {
       std::fprintf(stderr, "per-tuple: %s\n",
                    breakdown.status().ToString().c_str());

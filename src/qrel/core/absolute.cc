@@ -29,12 +29,13 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityByWitness(
         "witness search over more than 2^62 worlds");
   }
 
-  ObservedAnswers observed(*compiled, db);
+  const PossibleFacts facts(db, compiled->paths());
+  ObservedAnswers observed(*compiled, facts);
   AbsoluteReliabilityResult result;
   WorldEnumerator worlds(db);
   for (uint64_t code = 0; code < worlds.world_count(); ++code) {
     ++result.worlds_checked;
-    if (observed.CountDifferences(WorldView(db, worlds.Seek(code))) > 0) {
+    if (observed.CountDifferences(worlds.Seek(code)) > 0) {
       result.absolutely_reliable = false;
       result.witness = worlds.world();
       return result;
@@ -57,7 +58,8 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
   }
   int n = db.universe_size();
   int k = compiled->arity();
-  ObservedAnswers observed(*compiled, db);
+  const PossibleFacts facts(db, compiled->paths());
+  ObservedAnswers observed(*compiled, facts);
 
   Fingerprint fingerprint;
   fingerprint.Mix("core.absolute_mc")
@@ -89,7 +91,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
       [&](uint64_t) {
         World world = db.SampleWorld(&rng);
         ++result.worlds_checked;
-        if (observed.CountDifferences(WorldView(db, world)) > 0) {
+        if (observed.CountDifferences(world) > 0) {
           result.witness = std::move(world);
           loop.Stop();
         }

@@ -239,6 +239,8 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
                      .fault_site = "core.approx.tuple",
                      .checkpoint = *tuple_count > 1});
 
+  const PossibleFacts facts(db, compiled->paths());
+  const IndexedWorld observed_world(facts);
   Rng seeder(options.seed);
   double expected_error = 0.0;
   uint64_t samples = 0;
@@ -278,7 +280,7 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
           worst_sub_epsilon =
               std::max(worst_sub_epsilon, *nu->achieved_epsilon);
         }
-        bool observed = compiled->Eval(db.observed(), assignment);
+        bool observed = compiled->Eval(observed_world, assignment);
         // nu estimates Pr[target(ā)]; translate into Pr[ψ(ā) wrong].
         double prob_true =
             universal ? 1.0 - nu->estimate : nu->estimate;  // Pr[𝔅 ⊨ ψ(ā)]
@@ -414,7 +416,7 @@ StatusOr<ApproxResult> PaddedEstimate(const PaddedQuery& query,
           World world = db.SampleWorld(&rng);
           holds.assign(needed.size(), false);
           QREL_RETURN_IF_ERROR(query.holds(
-              WorldView(db, world),
+              world,
               std::span<const Tuple>(needed_tuples.data(), needed.size()),
               &holds));
           for (size_t j = 0; j < needed.size(); ++j) {
@@ -464,19 +466,23 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
     return compiled.status();
   }
   const int n = db.universe_size();
+  // One index for the observed database and every sampled world.
+  const PossibleFacts facts(db, compiled->paths());
   PaddedQuery padded;
   padded.arity = compiled->arity();
   padded.observed = [&](std::vector<bool>* observed) {
+    const IndexedWorld world(facts);
     Tuple tuple(static_cast<size_t>(padded.arity), 0);
     for (size_t i = 0; i < observed->size(); ++i, AdvanceTuple(&tuple, n)) {
-      (*observed)[i] = compiled->Eval(db.observed(), tuple);
+      (*observed)[i] = compiled->Eval(world, tuple);
     }
     return Status::Ok();
   };
-  padded.holds = [&](const WorldView& world, std::span<const Tuple> needed,
+  padded.holds = [&](const World& world, std::span<const Tuple> needed,
                      std::vector<bool>* holds) {
+    const IndexedWorld indexed(facts, &world);
     for (size_t j = 0; j < needed.size(); ++j) {
-      (*holds)[j] = compiled->Eval(world, needed[j]);
+      (*holds)[j] = compiled->Eval(indexed, needed[j]);
     }
     return Status::Ok();
   };

@@ -118,7 +118,7 @@ struct PaddedQuery {
   std::function<Status(std::vector<bool>* observed)> observed;
   // Sets (*holds)[j] to whether `world` ⊨ ψ(needed[j]); the vector arrives
   // sized needed.size(). Called once per sample that needs the world.
-  std::function<Status(const WorldView& world, std::span<const Tuple> needed,
+  std::function<Status(const World& world, std::span<const Tuple> needed,
                        std::vector<bool>* holds)>
       holds;
   // The sample loop's snapshot kind and fault site (a string literal).

@@ -85,17 +85,21 @@ Rational TupleSpaceSize(int n, int k) {
 }
 
 ObservedAnswers::ObservedAnswers(const CompiledQuery& query,
-                                 const UnreliableDatabase& db)
-    : query_(query), tuples_(AllTuples(db.universe_size(), query.arity())) {
+                                 const PossibleFacts& facts)
+    : query_(query),
+      facts_(facts),
+      tuples_(AllTuples(facts.universe_size(), query.arity())) {
+  const IndexedWorld observed(facts);
   for (const Tuple& tuple : tuples_) {
-    truth_.push_back(query.Eval(db.observed(), tuple));
+    truth_.push_back(query.Eval(observed, tuple));
   }
 }
 
-size_t ObservedAnswers::CountDifferences(const AtomOracle& world) const {
+size_t ObservedAnswers::CountDifferences(const World& world) const {
+  const IndexedWorld view(facts_, &world);
   size_t count = 0;
   for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (query_.Eval(world, tuples_[i]) != truth_[i]) {
+    if (query_.Eval(view, tuples_[i]) != truth_[i]) {
       ++count;
     }
   }
@@ -116,7 +120,8 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
   }
   int n = db.universe_size();
   int k = compiled->arity();
-  ObservedAnswers observed(*compiled, db);
+  const PossibleFacts facts(db, compiled->paths());
+  ObservedAnswers observed(*compiled, facts);
 
   Fingerprint fingerprint;
   fingerprint.Mix("core.exact")
@@ -132,8 +137,8 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
   ReliabilityReport report;
   report.arity = k;
   QREL_RETURN_IF_ERROR(EnumerateWorlds(
-      db, loop, &report, [&](const WorldView& view) -> StatusOr<size_t> {
-        return observed.CountDifferences(view);
+      db, loop, &report, [&](const World& world) -> StatusOr<size_t> {
+        return observed.CountDifferences(world);
       }));
   return report;
 }
@@ -153,7 +158,8 @@ Status CheckAssignmentInUniverse(const Tuple& assignment,
 
 StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const UnreliableDatabase& db,
-                                         const Tuple& assignment) {
+                                         const Tuple& assignment,
+                                         RunContext* ctx) {
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   if (!compiled.ok()) {
@@ -167,23 +173,31 @@ StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
     return Status::OutOfRange(
         "exact probability would enumerate more than 2^62 worlds");
   }
-  Rational probability;
-  db.ForEachWorld([&](const World& world, const Rational& world_probability) {
-    if (world_probability.IsZero()) {
-      return;
-    }
-    WorldView view(db, world);
-    if (compiled->Eval(view, assignment)) {
-      probability += world_probability;
-    }
-  });
-  return probability;
+  const PossibleFacts facts(db, compiled->paths());
+  WorldEnumerator worlds(db);
+  // Not checkpointed, so the kind is never written to a snapshot.
+  GovernedLoop loop(ctx, {.kind = "core.exact_probability",
+                          .end = worlds.world_count(),
+                          .fault_site = "core.exact_probability.world",
+                          .checkpoint = false});
+  RationalSum probability;
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [](SnapshotWriter&, uint64_t) {},
+      [&](uint64_t code) {
+        const IndexedWorld world(facts, &worlds.Seek(code));
+        if (compiled->Eval(world, assignment)) {
+          probability.Add(worlds.Probability(code));
+        }
+        return Status::Ok();
+      }));
+  return probability.Value();
 }
 
 StatusOr<ScaledProbability> ExactScaledProbability(
     const FormulaPtr& query, const UnreliableDatabase& db,
-    const Tuple& assignment) {
-  StatusOr<Rational> probability = ExactQueryProbability(query, db, assignment);
+    const Tuple& assignment, RunContext* ctx) {
+  StatusOr<Rational> probability =
+      ExactQueryProbability(query, db, assignment, ctx);
   if (!probability.ok()) {
     return probability.status();
   }
@@ -312,7 +326,7 @@ StatusOr<ReliabilityReport> ExactSecondOrderReliability(
 }
 
 StatusOr<std::vector<TupleError>> PerTupleExpectedError(
-    const FormulaPtr& query, const UnreliableDatabase& db) {
+    const FormulaPtr& query, const UnreliableDatabase& db, RunContext* ctx) {
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   if (!compiled.ok()) {
@@ -321,11 +335,13 @@ StatusOr<std::vector<TupleError>> PerTupleExpectedError(
   int n = db.universe_size();
   int k = compiled->arity();
   std::vector<Tuple> tuples = AllTuples(n, k);
+  const PossibleFacts facts(db, compiled->paths());
+  const IndexedWorld observed(facts);
 
   std::vector<TupleError> result(tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
     result[i].tuple = tuples[i];
-    result[i].observed = compiled->Eval(db.observed(), tuples[i]);
+    result[i].observed = compiled->Eval(observed, tuples[i]);
   }
 
   if (IsQuantifierFree(query)) {
@@ -340,7 +356,7 @@ StatusOr<std::vector<TupleError>> PerTupleExpectedError(
         instance = SubstituteConstant(instance, names[v], tuples[i][v]);
       }
       StatusOr<ReliabilityReport> report =
-          QuantifierFreeReliability(instance, db);
+          QuantifierFreeReliability(instance, db, ctx);
       if (!report.ok()) {
         return report.status();
       }
@@ -353,17 +369,27 @@ StatusOr<std::vector<TupleError>> PerTupleExpectedError(
     return Status::OutOfRange(
         "per-tuple errors would enumerate more than 2^62 worlds");
   }
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
-    if (probability.IsZero()) {
-      return;
-    }
-    WorldView view(db, world);
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      if (compiled->Eval(view, tuples[i]) != result[i].observed) {
-        result[i].error += probability;
-      }
-    }
-  });
+  WorldEnumerator worlds(db);
+  // Not checkpointed, so the kind is never written to a snapshot.
+  GovernedLoop loop(ctx, {.kind = "core.per_tuple",
+                          .end = worlds.world_count(),
+                          .fault_site = "core.per_tuple.world",
+                          .checkpoint = false});
+  QREL_RETURN_IF_ERROR(loop.Run(
+      [](SnapshotWriter&, uint64_t) {},
+      [&](uint64_t code) {
+        const IndexedWorld world(facts, &worlds.Seek(code));
+        Rational probability;
+        for (size_t i = 0; i < tuples.size(); ++i) {
+          if (compiled->Eval(world, tuples[i]) != result[i].observed) {
+            if (probability.IsZero()) {
+              probability = worlds.Probability(code);
+            }
+            result[i].error += probability;
+          }
+        }
+        return Status::Ok();
+      }));
   return result;
 }
 

@@ -25,6 +25,7 @@
 #include "qrel/logic/ast.h"
 #include "qrel/logic/eval.h"
 #include "qrel/logic/second_order.h"
+#include "qrel/prob/possible_facts.h"
 #include "qrel/prob/unreliable_database.h"
 #include "qrel/util/governed_loop.h"
 #include "qrel/util/rational.h"
@@ -49,23 +50,25 @@ std::vector<Tuple> AllTuples(int n, int k);
 Rational TupleSpaceSize(int n, int k);
 
 // ψ^𝔄, computed once: every k-tuple with its truth value in the observed
-// database, to compare enumerated or sampled worlds against.
+// database, to compare enumerated or sampled worlds against. Reads the
+// database through `facts`, the run's index over query.paths().
 class ObservedAnswers {
  public:
-  ObservedAnswers(const CompiledQuery& query, const UnreliableDatabase& db);
+  ObservedAnswers(const CompiledQuery& query, const PossibleFacts& facts);
 
-  // |ψ^𝔄 Δ ψ^𝔅| for the world `world` (a WorldView).
-  size_t CountDifferences(const AtomOracle& world) const;
+  // |ψ^𝔄 Δ ψ^𝔅| for the world 𝔅 = `world` of the indexed database.
+  size_t CountDifferences(const World& world) const;
 
  private:
   const CompiledQuery& query_;
+  const PossibleFacts& facts_;
   std::vector<Tuple> tuples_;
   std::vector<bool> truth_;
 };
 
 // Thm 4.2's world loop, shared by the first-order and Datalog exact rungs.
 // `loop` (end = 2^u, the world count) visits every world of `db`, and
-// `differing(const WorldView&)` returns |ψ^𝔄 Δ ψ^𝔅| for one world as a
+// `differing(const World&)` returns |ψ^𝔄 Δ ψ^𝔅| for one world as a
 // StatusOr<size_t>. Accumulates H = Σ ν(𝔅)·|ψ^𝔄 Δ ψ^𝔅| and the world
 // count into `report` and sets R = 1 − H/n^k for its arity k. Snapshot
 // payload: the next world's code, then expected_error and work_units.
@@ -74,15 +77,18 @@ Status EnumerateWorlds(const UnreliableDatabase& db, GovernedLoop& loop,
                        ReliabilityReport* report,
                        const Differing& differing) {
   WorldEnumerator worlds(db);
+  RationalSum expected_error;
   QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r, uint64_t* code) {
     QREL_RETURN_IF_ERROR(r.U64(code));
-    QREL_RETURN_IF_ERROR(r.RationalVal(&report->expected_error));
+    Rational resumed;
+    QREL_RETURN_IF_ERROR(r.RationalVal(&resumed));
+    expected_error = RationalSum(resumed);
     return r.U64(&report->work_units);
   }));
   QREL_RETURN_IF_ERROR(loop.Run(
       [&](SnapshotWriter& w, uint64_t code) {
         w.U64(code);
-        w.RationalVal(report->expected_error);
+        w.RationalVal(expected_error.Value());
         w.U64(report->work_units);
       },
       [&](uint64_t code) {
@@ -91,16 +97,14 @@ Status EnumerateWorlds(const UnreliableDatabase& db, GovernedLoop& loop,
         if (probability.IsZero()) {
           return Status::Ok();
         }
-        StatusOr<size_t> count = differing(WorldView(db, worlds.Seek(code)));
+        StatusOr<size_t> count = differing(worlds.Seek(code));
         if (!count.ok()) {
           return count.status();
         }
-        if (*count > 0) {
-          report->expected_error +=
-              probability * Rational(static_cast<int64_t>(*count));
-        }
+        expected_error.Add(probability, static_cast<int64_t>(*count));
         return Status::Ok();
       }));
+  report->expected_error = expected_error.Value();
   report->reliability =
       Rational(1) - report->expected_error /
                         TupleSpaceSize(db.universe_size(), report->arity);
@@ -123,10 +127,13 @@ Status CheckAssignmentInUniverse(const Tuple& assignment,
 
 // Exact Pr[𝔅 ⊨ ψ(ā)] for a Boolean instantiation of a query, by world
 // enumeration. An assignment value outside the universe fails with
-// kInvalidArgument (constant-out-of-range).
+// kInvalidArgument (constant-out-of-range). `ctx` (nullable) is charged
+// one work unit per enumerated world; a tripped envelope stops the
+// enumeration with the budget status. Not checkpointed.
 StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const UnreliableDatabase& db,
-                                         const Tuple& assignment);
+                                         const Tuple& assignment,
+                                         RunContext* ctx = nullptr);
 
 // Theorem 4.2 artifacts: the scaling integer g (product of ν-denominators)
 // and the exact integer g·Pr[𝔅 ⊨ ψ], certifying that the probability is a
@@ -137,7 +144,8 @@ struct ScaledProbability {
 };
 StatusOr<ScaledProbability> ExactScaledProbability(const FormulaPtr& query,
                                                    const UnreliableDatabase& db,
-                                                   const Tuple& assignment);
+                                                   const Tuple& assignment,
+                                                   RunContext* ctx = nullptr);
 
 // Proposition 3.1: polynomial-time exact reliability for quantifier-free
 // queries. Fails with InvalidArgument if `query` has quantifiers. `ctx`
@@ -151,13 +159,17 @@ StatusOr<ReliabilityReport> QuantifierFreeReliability(
 // expectation behind Prop. 3.1 / Thm. 4.2 makes H_ψ their sum. Uses the
 // polynomial local-atom algorithm for quantifier-free queries and world
 // enumeration otherwise (same feasibility limits as ExactReliability).
+// `ctx` (nullable) is charged one work unit per local atom assignment or
+// enumerated world; a tripped envelope stops with the budget status. Not
+// checkpointed.
 struct TupleError {
   Tuple tuple;
   bool observed = false;     // ā ∈ ψ^𝔄
   Rational error;            // H_ψ(ā)
 };
 StatusOr<std::vector<TupleError>> PerTupleExpectedError(
-    const FormulaPtr& query, const UnreliableDatabase& db);
+    const FormulaPtr& query, const UnreliableDatabase& db,
+    RunContext* ctx = nullptr);
 
 // Theorem 4.2 at full strength: exact reliability of a second-order
 // Boolean query — Σ¹₁ (default) or Π¹₁ (`pi11` = true) — by world

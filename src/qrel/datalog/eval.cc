@@ -316,7 +316,7 @@ void CompiledDatalog::BodySatisfied(const CompiledRule& rule,
       const std::set<Tuple>& contents = firing.idb.at(literal.idb_relation);
       holds = contents.find(args) != contents.end();
     } else {
-      holds = firing.edb.AtomTrue(literal.edb_relation, args);
+      holds = firing.edb.True(literal.edb_relation, args);
     }
     if (!holds) {
       BodySatisfied(rule, literal_index + 1, binding, firing);
@@ -345,7 +345,7 @@ void CompiledDatalog::BodySatisfied(const CompiledRule& rule,
       }
     }
     if (matched && (literal.is_idb ||
-                    firing.edb.AtomTrue(literal.edb_relation, candidate))) {
+                    firing.edb.Holds(literal.edb_relation, &candidate))) {
       BodySatisfied(rule, literal_index + 1, binding, firing);
     }
     for (int slot : newly_bound) {
@@ -381,7 +381,8 @@ void CompiledDatalog::BodySatisfied(const CompiledRule& rule,
     key.push_back(slot < 0 ? literal.constants[static_cast<size_t>(position)]
                            : (*binding)[static_cast<size_t>(slot)]);
   }
-  for (const Tuple* candidate : firing.facts.Match(literal.edb_path, key)) {
+  for (const Tuple* candidate :
+       firing.edb.facts().Match(literal.edb_path, key)) {
     descend_on(*candidate);
     if (!firing.budget->ok()) {
       return;
@@ -390,8 +391,7 @@ void CompiledDatalog::BodySatisfied(const CompiledRule& rule,
 }
 
 Status CompiledDatalog::FireRule(const CompiledRule& rule,
-                                 const AtomOracle& edb,
-                                 const PossibleFacts& facts,
+                                 const IndexedWorld& edb,
                                  const DatalogResult& idb, int delta_index,
                                  const std::set<Tuple>* delta_contents,
                                  RunContext* ctx,
@@ -401,7 +401,7 @@ Status CompiledDatalog::FireRule(const CompiledRule& rule,
   std::vector<Element> binding(static_cast<size_t>(rule.variable_count),
                                kUnbound);
   BodySatisfied(rule, 0, &binding,
-                Firing{edb, facts, idb, idb.at(rule.head), &head_tuple,
+                Firing{edb, idb, idb.at(rule.head), &head_tuple,
                        additions, delta_index, delta_contents, ctx, &budget});
   return budget;
 }
@@ -409,6 +409,7 @@ Status CompiledDatalog::FireRule(const CompiledRule& rule,
 StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const Structure& edb,
                                                    RunContext* ctx) const {
   const PossibleFacts facts(edb, edb_paths_);
+  const IndexedWorld world(facts);
   DatalogResult idb;
   for (const std::string& predicate : idb_predicates_) {
     idb[predicate] = {};
@@ -424,7 +425,7 @@ StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const Structure& edb,
         }
         std::set<Tuple> additions;
         QREL_RETURN_IF_ERROR(
-            FireRule(rule, edb, facts, idb, -1, nullptr, ctx, &additions));
+            FireRule(rule, world, idb, -1, nullptr, ctx, &additions));
         if (!additions.empty()) {
           idb[rule.head].insert(additions.begin(), additions.end());
           changed = true;
@@ -437,17 +438,20 @@ StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const Structure& edb,
 
 StatusOr<DatalogResult> CompiledDatalog::Eval(const Structure& edb,
                                               RunContext* ctx) const {
-  return Eval(edb, PossibleFacts(edb, edb_paths_), ctx);
+  const PossibleFacts facts(edb, edb_paths_);
+  return Eval(IndexedWorld(facts), ctx);
 }
 
 StatusOr<DatalogResult> CompiledDatalog::Eval(const WorldView& edb,
                                               RunContext* ctx) const {
-  return Eval(edb, PossibleFacts(edb.database(), edb_paths_), ctx);
+  const PossibleFacts facts(edb.database(), edb_paths_);
+  return Eval(IndexedWorld(facts, &edb.world()), ctx);
 }
 
-StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
-                                              const PossibleFacts& facts,
+StatusOr<DatalogResult> CompiledDatalog::Eval(const IndexedWorld& edb,
                                               RunContext* ctx) const {
+  QREL_CHECK_MSG(edb.facts().paths() == edb_paths_,
+                 "index not built over the program's access paths");
   DatalogResult idb;
   for (const std::string& predicate : idb_predicates_) {
     idb[predicate] = {};
@@ -482,7 +486,7 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
       uint64_t word = 0;
       int bit = 0;
       do {
-        if (edb.AtomTrue(r, probe)) {
+        if (edb.True(r, probe)) {
           word |= uint64_t{1} << bit;
         }
         if (++bit == 64) {
@@ -552,7 +556,7 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
         }
         std::set<Tuple> additions;
         QREL_RETURN_IF_ERROR(
-            FireRule(rule, edb, facts, idb, -1, nullptr, ctx, &additions));
+            FireRule(rule, edb, idb, -1, nullptr, ctx, &additions));
         delta[rule.head].insert(additions.begin(), additions.end());
       }
       for (auto& [predicate, tuples] : delta) {
@@ -585,9 +589,8 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
             continue;
           }
           std::set<Tuple> additions;
-          QREL_RETURN_IF_ERROR(FireRule(rule, edb, facts, idb,
-                                        static_cast<int>(i), &restricted, ctx,
-                                        &additions));
+          QREL_RETURN_IF_ERROR(FireRule(rule, edb, idb, static_cast<int>(i),
+                                        &restricted, ctx, &additions));
           for (const Tuple& tuple : additions) {
             if (idb.at(rule.head).find(tuple) == idb.at(rule.head).end()) {
               next_delta[rule.head].insert(tuple);
@@ -617,10 +620,10 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
 }
 
 StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
-    const AtomOracle& edb, const PossibleFacts& facts,
-    const std::string& predicate, RunContext* ctx) const {
+    const IndexedWorld& edb, const std::string& predicate,
+    RunContext* ctx) const {
   if (idb_arity_.find(predicate) != idb_arity_.end()) {
-    StatusOr<DatalogResult> result = Eval(edb, facts, ctx);
+    StatusOr<DatalogResult> result = Eval(edb, ctx);
     if (!result.ok()) {
       return result.status();
     }
@@ -630,12 +633,12 @@ StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
   if (!relation.has_value()) {
     return Status::NotFound("unknown predicate '" + predicate + "'");
   }
-  // Materialize the extensional relation: its possible facts, confirmed
-  // through the oracle.
+  // Materialize the extensional relation: its possible facts that hold in
+  // the world.
   std::set<Tuple> contents;
-  for (const Tuple& tuple : facts.Tuples(*relation)) {
+  for (const Tuple& tuple : edb.facts().Tuples(*relation)) {
     QREL_RETURN_IF_ERROR(ChargeWork(ctx));
-    if (edb.AtomTrue(*relation, tuple)) {
+    if (edb.Holds(*relation, &tuple)) {
       contents.insert(tuple);
     }
   }
@@ -645,7 +648,8 @@ StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
 StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
     const Structure& edb, const std::string& predicate,
     RunContext* ctx) const {
-  return EvalPredicate(edb, PossibleFacts(edb, edb_paths_), predicate, ctx);
+  const PossibleFacts facts(edb, edb_paths_);
+  return EvalPredicate(IndexedWorld(facts), predicate, ctx);
 }
 
 StatusOr<int> CompiledDatalog::PredicateArity(

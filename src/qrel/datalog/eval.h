@@ -12,10 +12,11 @@
 // its unbound arguments. Compilation fixes which argument positions each
 // such literal finds bound (constants and variables bound by earlier
 // literals); evaluation looks those values up in a PossibleFacts index
-// (prob/possible_facts.h) and confirms each candidate with the oracle. The
-// oracle stays the truth and the index only a superset of it, so the cost
-// of a body is O(matches) per binding instead of O(n^|free|). World loops
-// build the index once per run over the database's possible facts.
+// (prob/possible_facts.h) and reads each candidate's truth in the world
+// from its fact record, so the cost of a body is O(matches) per binding
+// instead of O(n^|free|). World loops build the index once per run over
+// the database's possible facts and read every world through it
+// (IndexedWorld).
 #ifndef QREL_DATALOG_EVAL_H_
 #define QREL_DATALOG_EVAL_H_
 
@@ -47,12 +48,10 @@ class CompiledDatalog {
   // semi-naive evaluation: after the first round, a rule only re-fires
   // with one of its same-stratum positive IDB literals restricted to the
   // previous round's delta, so unchanged derivations are not recomputed.
-  // `facts` must list every atom `edb` makes true, indexed along
-  // edb_paths(). `ctx` (nullable) is charged one work unit per rule-body
-  // enumeration node; a tripped envelope aborts the fixpoint with the
-  // budget status.
-  StatusOr<DatalogResult> Eval(const AtomOracle& edb,
-                               const PossibleFacts& facts,
+  // `edb` reads one world through an index built over edb_paths(). `ctx`
+  // (nullable) is charged one work unit per rule-body enumeration node; a
+  // tripped envelope aborts the fixpoint with the budget status.
+  StatusOr<DatalogResult> Eval(const IndexedWorld& edb,
                                RunContext* ctx) const;
   // The same over a structure (indexing its facts) or over one world of a
   // database (indexing the database's possible facts).
@@ -73,8 +72,7 @@ class CompiledDatalog {
 
   // Convenience: the contents of one predicate after evaluation. The
   // predicate may be intensional or extensional.
-  StatusOr<std::set<Tuple>> EvalPredicate(const AtomOracle& edb,
-                                          const PossibleFacts& facts,
+  StatusOr<std::set<Tuple>> EvalPredicate(const IndexedWorld& edb,
                                           const std::string& predicate,
                                           RunContext* ctx = nullptr) const;
   StatusOr<std::set<Tuple>> EvalPredicate(const Structure& edb,
@@ -82,7 +80,7 @@ class CompiledDatalog {
                                           RunContext* ctx = nullptr) const;
 
   // The access paths of the positive extensional literals, to build the
-  // PossibleFacts index an evaluation reads.
+  // PossibleFacts index an IndexedWorld evaluation reads.
   const std::vector<PossibleFacts::Path>& edb_paths() const {
     return edb_paths_;
   }
@@ -126,8 +124,7 @@ class CompiledDatalog {
   // instead of the full relation — the semi-naive restriction; -1 means
   // full evaluation.
   struct Firing {
-    const AtomOracle& edb;
-    const PossibleFacts& facts;
+    const IndexedWorld& edb;
     const DatalogResult& idb;
     const std::set<Tuple>& head_set;
     Tuple* head_tuple;  // scratch for the emitted head
@@ -155,8 +152,8 @@ class CompiledDatalog {
                      std::vector<Element>* binding,
                      const Firing& firing) const;
   // Fires `rule` once (delta_index/delta_contents as in Firing).
-  Status FireRule(const CompiledRule& rule, const AtomOracle& edb,
-                  const PossibleFacts& facts, const DatalogResult& idb,
+  Status FireRule(const CompiledRule& rule, const IndexedWorld& edb,
+                  const DatalogResult& idb,
                   int delta_index, const std::set<Tuple>* delta_contents,
                   RunContext* ctx, std::set<Tuple>* additions) const;
 };

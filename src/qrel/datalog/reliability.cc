@@ -55,16 +55,17 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
   // true only atoms among db's possible facts.
   const PossibleFacts facts(db, program.edb_paths());
   StatusOr<std::set<Tuple>> observed =
-      program.EvalPredicate(db.observed(), facts, predicate, ctx);
+      program.EvalPredicate(IndexedWorld(facts), predicate, ctx);
   if (!observed.ok()) {
     return observed.status();
   }
   ReliabilityReport report;
   report.arity = *arity;
   QREL_RETURN_IF_ERROR(EnumerateWorlds(
-      db, loop, &report, [&](const WorldView& view) -> StatusOr<size_t> {
+      db, loop, &report, [&](const World& world) -> StatusOr<size_t> {
         StatusOr<std::set<Tuple>> actual =
-            program.EvalPredicate(view, facts, predicate, ctx);
+            program.EvalPredicate(IndexedWorld(facts, &world), predicate,
+                                  ctx);
         if (!actual.ok()) {
           return actual.status();  // the envelope, or an injected fault
         }
@@ -88,7 +89,7 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
   padded.arity = *arity;
   padded.observed = [&](std::vector<bool>* observed) -> Status {
     StatusOr<std::set<Tuple>> answers = program.EvalPredicate(
-        db.observed(), facts, predicate, options.run_context);
+        IndexedWorld(facts), predicate, options.run_context);
     if (!answers.ok()) {
       return answers.status();
     }
@@ -99,10 +100,10 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
     return Status::Ok();
   };
   // One fixpoint per world, then a lookup per needed tuple.
-  padded.holds = [&](const WorldView& world, std::span<const Tuple> needed,
+  padded.holds = [&](const World& world, std::span<const Tuple> needed,
                      std::vector<bool>* holds) -> Status {
-    StatusOr<std::set<Tuple>> answers =
-        program.EvalPredicate(world, facts, predicate, options.run_context);
+    StatusOr<std::set<Tuple>> answers = program.EvalPredicate(
+        IndexedWorld(facts, &world), predicate, options.run_context);
     if (!answers.ok()) {
       return answers.status();  // the envelope, or an injected fault
     }

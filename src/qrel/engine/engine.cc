@@ -351,17 +351,11 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
   const FormulaPtr& effective =
       analysis.arity_preserved ? analysis.simplified : query;
 
-  StatusOr<CompiledQuery> compiled =
-      CompiledQuery::Compile(effective, database_.vocabulary());
-  if (!compiled.ok()) {
-    return compiled.status();
-  }
-
   EngineReport report;
   report.query_class = analysis.arity_preserved ? analysis.effective_class
                                                 : analysis.original_class;
   int n = database_.universe_size();
-  int k = compiled->arity();
+  int k = static_cast<int>(effective->FreeVariables().size());
 
   const bool want_answers =
       options.include_observed_answers &&
@@ -415,10 +409,19 @@ StatusOr<EngineReport> ReliabilityEngine::RunImpl(
                 TupleSpace(n, k), options, std::move(report), exact, sample,
                 reserve);
   if (result.ok() && want_answers) {
-    result->observed_answers =
-        rung == Rung::kExtensional && result->is_exact
-            ? std::move(extensional_answers)
-            : compiled->AnswerSet(database_.observed());
+    if (rung == Rung::kExtensional && result->is_exact) {
+      result->observed_answers = std::move(extensional_answers);
+    } else {
+      // Compiled and indexed only here, after the ladder ran: the
+      // extensional rung needs neither.
+      StatusOr<CompiledQuery> compiled =
+          CompiledQuery::Compile(effective, database_.vocabulary());
+      if (!compiled.ok()) {
+        return compiled.status();
+      }
+      const PossibleFacts facts(database_, compiled->paths());
+      result->observed_answers = compiled->AnswerSet(IndexedWorld(facts));
+    }
   }
   return result;
 }

@@ -10,6 +10,18 @@
 // literals per disjunct is bounded by the width of φ's DNF — independent
 // of the database — so ψ'' is a kDNF of size polynomial in n, as the
 // theorem requires.
+//
+// A disjunct survives only where each of its positive atoms is a possible
+// fact that is not certainly false. So each disjunct of φ's DNF runs as a
+// candidate join (logic/join.h) over the database's PossibleFacts: its
+// bound variables come from the candidates of its positive atoms (a
+// variable that no positive atom or equality binds still ranges over the
+// universe), and each atom's certain/uncertain status is read from its
+// fact record. The cost is O(candidate bindings) instead of the
+// n^|bound| assignments of an odometer walk, while the output is that
+// walk's: the same terms in the same order (first appearance by bound
+// values in lexicographic order, then by disjunct), so a seeded Karp-Luby
+// estimate over ψ'' does not change.
 
 #ifndef QREL_LOGIC_GROUNDING_H_
 #define QREL_LOGIC_GROUNDING_H_
@@ -52,12 +64,16 @@ struct GroundDnf {
 
 // Grounds the prenex-existential query against `database`, with
 // `free_assignment` supplying values for prenex.free_variables (in order;
-// empty for sentences). Fails with OutOfRange if more than `max_terms`
-// ground terms survive (the bound exists to keep malformed inputs from
+// empty for sentences). Fails with InvalidArgument if a free value or an
+// atom's constant lies outside the universe, and with OutOfRange if more
+// than `max_terms` distinct ground terms are found before a certainly
+// true disjunct (the bound exists to keep malformed inputs from
 // exhausting memory; the construction itself is polynomial for a fixed
-// query). `ctx` (nullable) is charged one work unit per bound-variable
-// assignment plus one per emitted ground clause; a tripped envelope stops
-// the expansion with the budget status.
+// query). `ctx` (nullable) is charged one work unit per candidate binding
+// the joins visit (each candidate or universe element a join step
+// examines; a matrix without bound variables visits its one empty
+// binding) plus one per emitted ground term; a tripped envelope stops the
+// expansion with the budget status.
 StatusOr<GroundDnf> GroundExistential(const PrenexExistential& prenex,
                                       const UnreliableDatabase& database,
                                       const Tuple& free_assignment,

@@ -1,6 +1,7 @@
 #include "qrel/prob/possible_facts.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "qrel/util/check.h"
@@ -11,7 +12,7 @@ namespace {
 
 // Lexicographic comparison of a tuple's values at `bound` with `key`.
 int CompareBound(const Tuple& tuple, const std::vector<int>& bound,
-                 const Tuple& key) {
+                 std::span<const Element> key) {
   for (size_t i = 0; i < bound.size(); ++i) {
     Element value = tuple[static_cast<size_t>(bound[i])];
     if (value != key[i]) {
@@ -25,32 +26,73 @@ int CompareBound(const Tuple& tuple, const std::vector<int>& bound,
 
 PossibleFacts::PossibleFacts(const Structure& structure,
                              std::vector<Path> paths)
-    : paths_(std::move(paths)) {
+    : vocabulary_(&structure.vocabulary()),
+      universe_size_(structure.universe_size()),
+      paths_(std::move(paths)) {
   const int relations = structure.vocabulary().relation_count();
   tuples_.resize(static_cast<size_t>(relations));
+  records_.resize(static_cast<size_t>(relations));
   for (int r = 0; r < relations; ++r) {
     const std::set<Tuple>& facts = structure.Facts(r);
     tuples_[static_cast<size_t>(r)].assign(facts.begin(), facts.end());
+    records_[static_cast<size_t>(r)].resize(facts.size());
   }
   BuildPaths();
 }
 
 PossibleFacts::PossibleFacts(const UnreliableDatabase& db,
                              std::vector<Path> paths)
-    : paths_(std::move(paths)) {
+    : vocabulary_(&db.vocabulary()),
+      universe_size_(db.universe_size()),
+      entry_count_(db.model().entry_count()),
+      paths_(std::move(paths)) {
   const int relations = db.vocabulary().relation_count();
-  tuples_.resize(static_cast<size_t>(relations));
-  for (int r = 0; r < relations; ++r) {
-    const std::set<Tuple>& facts = db.observed().Facts(r);
-    tuples_[static_cast<size_t>(r)].assign(facts.begin(), facts.end());
-  }
+  // Per relation, the entry atoms with their ids, in tuple order.
+  std::vector<std::vector<std::pair<const Tuple*, int>>> entries(
+      static_cast<size_t>(relations));
   for (int id = 0; id < db.model().entry_count(); ++id) {
     const GroundAtom& atom = db.model().atom(id);
-    tuples_[static_cast<size_t>(atom.relation)].push_back(atom.args);
+    entries[static_cast<size_t>(atom.relation)].emplace_back(&atom.args, id);
   }
-  for (std::vector<Tuple>& tuples : tuples_) {
-    std::sort(tuples.begin(), tuples.end());
-    tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+  tuples_.resize(static_cast<size_t>(relations));
+  records_.resize(static_cast<size_t>(relations));
+  for (int r = 0; r < relations; ++r) {
+    std::vector<std::pair<const Tuple*, int>>& atoms =
+        entries[static_cast<size_t>(r)];
+    std::sort(atoms.begin(), atoms.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    const std::set<Tuple>& observed = db.observed().Facts(r);
+    std::vector<Tuple>& tuples = tuples_[static_cast<size_t>(r)];
+    std::vector<Record>& records = records_[static_cast<size_t>(r)];
+    tuples.reserve(observed.size() + atoms.size());
+    records.reserve(observed.size() + atoms.size());
+    // Merge the observed facts with the entry atoms (an atom has at most
+    // one entry).
+    auto fact = observed.begin();
+    auto atom = atoms.begin();
+    while (fact != observed.end() || atom != atoms.end()) {
+      Record record;
+      if (atom == atoms.end() ||
+          (fact != observed.end() && *fact < *atom->first)) {
+        tuples.push_back(*fact++);
+      } else {
+        record.observed = fact != observed.end() && *fact == *atom->first;
+        if (record.observed) {
+          ++fact;
+        }
+        record.entry = atom->second;
+        const Rational& mu = db.model().error(record.entry);
+        if (!mu.IsZero() && !mu.IsOne()) {
+          record.status = UnreliableDatabase::AtomStatus::kUncertain;
+        } else if (record.observed == mu.IsZero()) {
+          record.status = UnreliableDatabase::AtomStatus::kCertainTrue;
+        } else {
+          record.status = UnreliableDatabase::AtomStatus::kCertainFalse;
+        }
+        tuples.push_back(*atom++->first);
+      }
+      records.push_back(record);
+    }
   }
   BuildPaths();
 }
@@ -82,8 +124,8 @@ void PossibleFacts::BuildPaths() {
   }
 }
 
-std::span<const Tuple* const> PossibleFacts::Match(int path,
-                                                   const Tuple& key) const {
+std::span<const Tuple* const> PossibleFacts::Match(
+    int path, std::span<const Element> key) const {
   const Path& p = paths_[static_cast<size_t>(path)];
   const std::vector<const Tuple*>& order = ordered_[static_cast<size_t>(path)];
   QREL_CHECK(key.size() == p.bound.size());
@@ -95,6 +137,26 @@ std::span<const Tuple* const> PossibleFacts::Match(int path,
     return CompareBound(*tuple, p.bound, key) == 0;
   });
   return {first, last};
+}
+
+const Tuple* PossibleFacts::Find(int relation,
+                                 std::span<const Element> tuple) const {
+  const std::vector<Tuple>& tuples = tuples_[static_cast<size_t>(relation)];
+  auto less = [](const Tuple& a, std::span<const Element> b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  };
+  auto it = std::lower_bound(tuples.begin(), tuples.end(), tuple, less);
+  if (it == tuples.end() || !std::equal(it->begin(), it->end(), tuple.begin(),
+                                        tuple.end())) {
+    return nullptr;
+  }
+  return &*it;
+}
+
+IndexedWorld::IndexedWorld(const PossibleFacts& facts, const World* world)
+    : facts_(facts), world_(world) {
+  QREL_CHECK(world == nullptr || world->entry_count() == facts.entry_count());
 }
 
 }  // namespace qrel

@@ -66,6 +66,7 @@ class WorldView : public AtomOracle {
   bool AtomTrue(int relation_id, const Tuple& tuple) const override;
 
   const UnreliableDatabase& database() const { return database_; }
+  const World& world() const { return world_; }
 
  private:
   const UnreliableDatabase& database_;

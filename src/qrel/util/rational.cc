@@ -29,6 +29,24 @@ void Rational::Normalize() {
   }
 }
 
+void RationalSum::Add(const Rational& term, int64_t times) {
+  if (term.IsZero() || times == 0) {
+    return;
+  }
+  BigInt numerator =
+      times == 1 ? term.numerator() : term.numerator() * BigInt(times);
+  BigInt::DivModResult split = denominator_.DivMod(term.denominator());
+  if (split.remainder.IsZero()) {
+    numerator_ += numerator * split.quotient;
+    return;
+  }
+  // Widen the running denominator to lcm(denominator_, term's).
+  BigInt g = BigInt::Gcd(denominator_, term.denominator());
+  BigInt widen = term.denominator() / g;
+  numerator_ = numerator_ * widen + numerator * (denominator_ / g);
+  denominator_ *= widen;
+}
+
 StatusOr<Rational> Rational::Parse(std::string_view text) {
   if (text.empty()) {
     return Status::InvalidArgument("empty rational literal");

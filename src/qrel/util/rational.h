@@ -82,6 +82,27 @@ class Rational {
   BigInt denominator_;
 };
 
+// An exact running sum Σ times·term that skips Rational::operator+'s gcd
+// per term: the numerator and denominator stay unreduced, and a term whose
+// denominator divides the running one costs one division and one
+// multiply-add. The denominator only grows to an lcm, so for Thm 4.2's
+// world weights, which all divide Π den(μ), it stops growing after the
+// first few worlds. Value() is the reduced sum, the same rational as the
+// Rational sum of the same terms.
+class RationalSum {
+ public:
+  RationalSum() = default;
+  explicit RationalSum(const Rational& start)
+      : numerator_(start.numerator()), denominator_(start.denominator()) {}
+
+  void Add(const Rational& term, int64_t times = 1);
+  Rational Value() const { return Rational(numerator_, denominator_); }
+
+ private:
+  BigInt numerator_;
+  BigInt denominator_ = BigInt(1);
+};
+
 }  // namespace qrel
 
 #endif  // QREL_UTIL_RATIONAL_H_

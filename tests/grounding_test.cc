@@ -145,6 +145,36 @@ TEST(GroundingTest, RejectsConstantOutsideUniverse) {
   EXPECT_FALSE(GroundExistential(prenex, db, {}).ok());
 }
 
+TEST(GroundingTest, ChargesOneUnitPerVisitedBindingAndTerm) {
+  UnreliableDatabase db = SmallDatabase();
+  db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 2));
+  PrenexExistential prenex = MustPrenex("exists y . E(x, y) & S(y)");
+  // x = 0: the join visits E's one candidate E(0,1) and emits S(1).
+  RunContext ctx;
+  ASSERT_EQ(GroundExistential(prenex, db, {0}, size_t{1} << 22, &ctx)
+                ->terms.size(),
+            1u);
+  EXPECT_EQ(ctx.work_spent(), 2u);
+  // x = 2: E(2,·) has no candidate, so nothing is visited.
+  RunContext empty;
+  EXPECT_TRUE(GroundExistential(prenex, db, {2}, size_t{1} << 22, &empty)
+                  ->terms.empty());
+  EXPECT_EQ(empty.work_spent(), 0u);
+  // No bound variable: the empty binding is visited once.
+  RunContext unit;
+  EXPECT_EQ(GroundExistential(MustPrenex("S(x)"), db, {1}, size_t{1} << 22,
+                              &unit)
+                ->terms.size(),
+            1u);
+  EXPECT_EQ(unit.work_spent(), 2u);
+  // A budget below the charge stops the grounding with the budget status.
+  RunContext starved = RunContext::WithWorkBudget(1);
+  EXPECT_EQ(GroundExistential(prenex, db, {0}, size_t{1} << 22, &starved)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(GroundingTest, GroundDnfAgreesWithQueryOnEveryWorld) {
   // The grounded formula ψ'' must hold in a world iff ψ does (the
   // correctness claim inside Theorem 5.4), exhaustively over all worlds.

@@ -110,6 +110,30 @@ TEST(RationalTest, SumOfWorldProbabilitiesStyleIdentity) {
   EXPECT_TRUE(total.IsOne());
 }
 
+TEST(RationalSumTest, MatchesTheRationalSumOfTheSameTerms) {
+  Rng rng(77);
+  for (int round = 0; round < 50; ++round) {
+    Rational start(static_cast<int64_t>(rng.NextBelow(7)),
+                   static_cast<int64_t>(rng.NextBelow(5)) + 1);
+    Rational expected = start;
+    RationalSum sum(start);
+    for (int i = 0; i < 40; ++i) {
+      // Mostly divisors of 360, as world weights share one denominator,
+      // plus terms that force the denominator to widen; some negative.
+      int64_t den = static_cast<int64_t>(rng.NextBelow(97)) + 1;
+      if (rng.NextBelow(4) != 0) {
+        den = 360 / (static_cast<int64_t>(rng.NextBelow(6)) + 1);
+      }
+      Rational term(static_cast<int64_t>(rng.NextBelow(41)) - 10, den);
+      int64_t times = static_cast<int64_t>(rng.NextBelow(4));
+      expected += term * Rational(times);
+      sum.Add(term, times);
+      EXPECT_EQ(sum.Value(), expected);
+    }
+    EXPECT_EQ(sum.Value().ToString(), expected.ToString());
+  }
+}
+
 class RationalFieldPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RationalFieldPropertyTest, FieldAxiomsHold) {

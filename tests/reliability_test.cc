@@ -247,6 +247,59 @@ TEST(PerTupleExpectedErrorTest, QuantifiedBreakdownSumsToH) {
   EXPECT_EQ(total, report.expected_error);
 }
 
+// Under a work budget of one unit, the second enumerated world trips the
+// envelope: the enumeration stops with the budget status instead of
+// running to the end.
+TEST(ExactQueryProbabilityTest, WorkBudgetStopsTheEnumeration) {
+  UnreliableDatabase db = SmallDatabase();
+  db.SetErrorProbability(GroundAtom{1, {0}}, Rational(1, 4));
+  db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 2));
+  RunContext starved = RunContext::WithWorkBudget(1);
+  StatusOr<Rational> probability =
+      ExactQueryProbability(MustParse("exists x . S(x)"), db, {}, &starved);
+  EXPECT_EQ(probability.status().code(), StatusCode::kResourceExhausted);
+  RunContext scaled_starved = RunContext::WithWorkBudget(1);
+  EXPECT_EQ(ExactScaledProbability(MustParse("exists x . S(x)"), db, {},
+                                   &scaled_starved)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  // With room for every world, the budgeted run answers as the ungoverned
+  // one and charges one unit per world.
+  RunContext roomy = RunContext::WithWorkBudget(4);
+  EXPECT_EQ(*ExactQueryProbability(MustParse("exists x . S(x)"), db, {},
+                                   &roomy),
+            Rational(7, 8));
+  EXPECT_EQ(roomy.work_spent(), 4u);
+}
+
+TEST(PerTupleExpectedErrorTest, WorkBudgetStopsTheBreakdown) {
+  UnreliableDatabase db = SmallDatabase();
+  db.SetErrorProbability(GroundAtom{0, {0, 1}}, Rational(1, 3));
+  db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 2));
+  for (const char* text : {"exists y . E(x, y) & S(y)", "S(x)"}) {
+    RunContext starved = RunContext::WithWorkBudget(1);
+    EXPECT_EQ(PerTupleExpectedError(MustParse(text), db, &starved)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted)
+        << text;
+  }
+  // Ungoverned and generously budgeted runs give the same rows.
+  FormulaPtr query = MustParse("exists y . E(x, y) & S(y)");
+  std::vector<TupleError> free = *PerTupleExpectedError(query, db);
+  RunContext roomy = RunContext::WithWorkBudget(1000);
+  std::vector<TupleError> governed = *PerTupleExpectedError(query, db, &roomy);
+  ASSERT_EQ(free.size(), governed.size());
+  for (size_t i = 0; i < free.size(); ++i) {
+    EXPECT_EQ(free[i].tuple, governed[i].tuple);
+    EXPECT_EQ(free[i].observed, governed[i].observed);
+    EXPECT_EQ(free[i].error, governed[i].error);
+  }
+  EXPECT_EQ(roomy.work_spent(), 4u);  // one unit per world
+}
+
 TEST(PerTupleExpectedErrorTest, BooleanQueryHasSingleRow) {
   UnreliableDatabase db = SmallDatabase();
   db.SetErrorProbability(GroundAtom{1, {0}}, Rational(1, 4));
